@@ -40,7 +40,6 @@ val read_slice : Fs.t -> start:int -> k:int -> slice
 val sector_ok : slice -> int -> bool
 (** Did entry [j]'s batch read succeed (possibly after retries)? *)
 
-val digest_of_slice : slice -> int64
 val digest : Fs.t -> start:int -> k:int -> int64
 (** FNV-1a over sector index, label and value words; a hard-failed
     sector folds a sentinel instead of its (unknown) content. Counted
@@ -60,5 +59,3 @@ val apply_page :
     replicated content and arrives with the descriptor sectors' own
     repair. Counted in [fs.audit.pages_applied] /
     [fs.audit.apply_failures]. *)
-
-val pp_apply_result : Format.formatter -> apply_result -> unit

@@ -63,38 +63,37 @@ let compact fs =
   let n = Array.length sweep.Sweep.classes in
   let reserved_top = 1 + Fs.descriptor_page_count fs in
 
-  (* Current position of every live page (the descriptor stays put). *)
-  let cur : (page_id, int) Hashtbl.t = Hashtbl.create 256 in
+  (* Every live page's current position is its entry in the sweep's
+     index: the lowest sector claiming its absolute name (a duplicate is
+     scavenger territory, not ours; the descriptor stays put). Moves
+     update the index in place. *)
+  let position (fid, pn) =
+    Option.bind (Hashtbl.find_opt sweep.Sweep.files fid) (fun pages ->
+        Option.map (fun claims -> fst (List.hd claims)) (Hashtbl.find_opt pages pn))
+  in
+  let move_position (fid, pn) i label =
+    Hashtbl.replace (Hashtbl.find sweep.Sweep.files fid) pn [ (i, label) ]
+  in
+  let iter_positions f =
+    Hashtbl.iter
+      (fun fid pages ->
+        Hashtbl.iter (fun pn claims -> f (fid, pn) (List.hd claims)) pages)
+      sweep.Sweep.files
+  in
   let occupant = Array.make n None in
-  let bad = Array.make n false in
-  for i = 0 to n - 1 do
-    match sweep.Sweep.classes.(i) with
-    | Sweep.Live label ->
-        if not (File_id.equal label.Label.fid File_id.descriptor) then begin
-          let id = (label.Label.fid, label.Label.page) in
-          if Hashtbl.mem cur id then
-            (* A duplicate absolute name: scavenger territory, not ours. *)
-            ()
-          else begin
-            Hashtbl.replace cur id i;
-            occupant.(i) <- Some (id, label)
-          end
-        end
-    | Sweep.Marked_bad | Sweep.Bad_media -> bad.(i) <- true
-    | Sweep.Free_sector | Sweep.Garbage _ -> ()
-  done;
-
-  (* Assemble files: fid -> highest page number (pages are contiguous on
-     a sound volume). *)
-  let files : (File_id.t, int) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (fid, pn) _ ->
-      let prev = Option.value (Hashtbl.find_opt files fid) ~default:(-1) in
-      if pn > prev then Hashtbl.replace files fid pn)
-    cur;
+  let bad =
+    Array.map
+      (function Sweep.Marked_bad | Sweep.Bad_media -> true | _ -> false)
+      sweep.Sweep.classes
+  in
+  iter_positions (fun id (i, label) -> occupant.(i) <- Some (id, label));
+  (* Files in id order, each with its highest page (pages are contiguous
+     on a sound volume). *)
   let ordered_files =
     List.sort (fun (a, _) (b, _) -> File_id.compare a b)
-      (Hashtbl.fold (fun fid last acc -> (fid, last) :: acc) files [])
+      (Hashtbl.fold
+         (fun fid pages acc -> (fid, (Sweep.chain pages).Sweep.last) :: acc)
+         sweep.Sweep.files [])
   in
 
   (* Target layout: files back to back just past the descriptor, skipping
@@ -115,7 +114,7 @@ let compact fs =
   List.iter
     (fun (fid, last) ->
       for pn = 0 to last do
-        if Hashtbl.mem cur (fid, pn) then place (fid, pn)
+        if position (fid, pn) <> None then place (fid, pn)
       done)
     ordered_files;
 
@@ -152,7 +151,7 @@ let compact fs =
   let staging_used = ref false in
   let moves = ref 0 and links_rewritten = ref 0 in
   let move_to id label dst =
-    let src = Hashtbl.find cur id in
+    let src = Option.get (position id) in
     match read_sector drive src with
     | None -> false
     | Some (_, value) ->
@@ -160,7 +159,7 @@ let compact fs =
         then begin
           incr moves;
           incr links_rewritten;
-          Hashtbl.replace cur id dst;
+          move_position id dst label;
           occupant.(src) <- None;
           occupant.(dst) <- Some (id, label);
           true
@@ -171,10 +170,7 @@ let compact fs =
     match incoming.(t) with
     | None -> ()
     | Some id ->
-        let (fid, pn) = id in
-        ignore fid;
-        ignore pn;
-        let src = Hashtbl.find cur id in
+        let src = Option.get (position id) in
         if src <> t then begin
           (* Park any current occupant of [t] in the slot [id] vacates. *)
           let parked =
@@ -209,7 +205,7 @@ let compact fs =
                 then begin
                   incr moves;
                   incr links_rewritten;
-                  Hashtbl.replace cur qid src;
+                  move_position qid src qlabel;
                   occupant.(src) <- Some (qid, qlabel)
                 end
         end
@@ -228,15 +224,12 @@ let compact fs =
      read brought back (the write-continuation rule means a label write
      must rewrite the value too). An unreadable sector has nothing worth
      rewriting and is skipped, as before. *)
-  let stragglers =
-    Array.of_list
-      (Hashtbl.fold
-         (fun id src acc ->
-           match occupant.(src) with
-           | None -> acc
-           | Some (_, old_label) -> (src, final_label id old_label) :: acc)
-         cur [])
-  in
+  let stragglers = ref [] in
+  iter_positions (fun id (src, _) ->
+      match occupant.(src) with
+      | None -> ()
+      | Some (_, old) -> stragglers := (src, final_label id old) :: !stragglers);
+  let stragglers = Array.of_list !stragglers in
   let straggler_labels =
     Array.init (Array.length stragglers) (fun _ ->
         Array.make Sector.label_words Word.zero)
@@ -297,7 +290,7 @@ let compact fs =
   for i = 0 to reserved_top do
     final_occupied.(i) <- true
   done;
-  Hashtbl.iter (fun _ i -> final_occupied.(i) <- true) cur;
+  iter_positions (fun _ (i, _) -> final_occupied.(i) <- true);
   let to_free = ref [] in
   for i = n - 1 downto 0 do
     if not (final_occupied.(i) || bad.(i)) then begin
@@ -339,18 +332,16 @@ let compact fs =
   let leaders_updated = ref 0 and files_consecutive = ref 0 in
   List.iter
     (fun (fid, last) ->
-      match Hashtbl.find_opt cur (fid, 0) with
+      match position (fid, 0) with
       | None -> ()
       | Some leader_index -> (
           let consecutive =
-            let rec check pn =
-              if pn > last then true
-              else
-                match (Hashtbl.find_opt cur (fid, pn - 1), Hashtbl.find_opt cur (fid, pn)) with
-                | Some a, Some b when b = a + 1 -> check (pn + 1)
-                | _ -> false
-            in
-            check 1
+            List.for_all
+              (fun pn ->
+                match (position (fid, pn - 1), position (fid, pn)) with
+                | Some a, Some b -> b = a + 1
+                | _ -> false)
+              (List.init last (fun k -> k + 1))
           in
           if consecutive then incr files_consecutive;
           let fn = Page.full_name fid ~page:0 ~addr:(Disk_address.of_index leader_index) in
@@ -361,7 +352,7 @@ let compact fs =
               | Error _ -> ()
               | Ok leader ->
                   let last_addr =
-                    match Hashtbl.find_opt cur (fid, last) with
+                    match position (fid, last) with
                     | Some i -> Disk_address.of_index i
                     | None -> Disk_address.nil
                   in
@@ -383,7 +374,7 @@ let compact fs =
   List.iter
     (fun (fid, _) ->
       if File_id.is_directory fid then
-        match Hashtbl.find_opt cur (fid, 0) with
+        match position (fid, 0) with
         | None -> ()
         | Some leader_index -> (
             let fn = Page.full_name fid ~page:0 ~addr:(Disk_address.of_index leader_index) in
@@ -396,7 +387,7 @@ let compact fs =
                   List.map
                     (fun (e : Directory.entry) ->
                       let efid = e.Directory.entry_file.Page.abs.Page.fid in
-                      match Hashtbl.find_opt cur (efid, 0) with
+                      match position (efid, 0) with
                       | Some i
                         when not
                                (Disk_address.equal e.Directory.entry_file.Page.addr
@@ -419,7 +410,7 @@ let compact fs =
   (match Fs.root_dir fs with
   | None -> ()
   | Some fn -> (
-      match Hashtbl.find_opt cur (fn.Page.abs.Page.fid, 0) with
+      match position (fn.Page.abs.Page.fid, 0) with
       | Some i ->
           Fs.set_root_dir fs
             (Page.full_name fn.Page.abs.Page.fid ~page:0 ~addr:(Disk_address.of_index i))

@@ -64,6 +64,3 @@ val salvage : File.t -> entry list * bool
 (** Read as many live entries as possible, stopping at the first slot
     that does not scan; the boolean reports whether anything was
     unreadable. The scavenger uses this where {!entries} would refuse. *)
-
-val entry_words : string -> int
-(** Size in words of an entry with this name. *)

@@ -47,6 +47,7 @@ type t = {
   mutable last_allocated : int;
   mutable policy : allocation_policy;
   mutable label_checking : bool;
+  mutable verify_first_writes : bool;
   mutable descriptor_pages : Disk_address.t array;  (** Data pages, pn 1.. *)
   mutable counters : counters;
   mutable bad_table : int list;
@@ -110,11 +111,9 @@ let fresh_fid ?directory t =
 
 let policy t = t.policy
 let set_policy t p = t.policy <- p
-let label_checking t = t.label_checking
 let set_label_checking t flag = t.label_checking <- flag
+let set_verify_first_writes t flag = t.verify_first_writes <- flag
 let counters t = t.counters
-let reset_counters t = t.counters <- zero_counters
-let next_serial t = t.next_serial
 let set_next_serial t n = t.next_serial <- n
 
 let sector_count t = Array.length t.busy
@@ -301,13 +300,20 @@ let reserve t =
       t.last_allocated <- i;
       Ok (Disk_address.of_index i)
 
-let unreserve t addr = mark_free t addr
-
 let write_first t addr label value =
   let write_op () =
     Reliable.run t.drive addr
       { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
       ~label:(Label.to_words label) ~value ()
+  in
+  (* The bad marker keeps a later sweep from taking a dead sector for a
+     page. *)
+  let verified () =
+    if t.verify_first_writes && not (Page.value_reads t.drive addr) then begin
+      Page.retire t.drive addr;
+      Error `Bad
+    end
+    else Ok ()
   in
   if t.label_checking then
     match
@@ -321,13 +327,13 @@ let write_first t addr label value =
         Error `Bad
     | Ok () -> (
         match write_op () with
-        | Ok () -> Ok ()
+        | Ok () -> verified ()
         | Error Drive.Bad_sector -> Error `Bad
         | Error (Drive.Check_mismatch _ | Drive.Transient _) ->
             assert false (* write-only ops: no checks, no soft reads *))
   else
     match write_op () with
-    | Ok () -> Ok ()
+    | Ok () -> verified ()
     | Error Drive.Bad_sector -> Error `Bad
     | Error (Drive.Check_mismatch _ | Drive.Transient _) -> assert false
 
@@ -590,6 +596,7 @@ let make_handle drive =
       last_allocated = 0;
       policy = Near_previous;
       label_checking = true;
+      verify_first_writes = false;
       descriptor_pages = [||];
       counters = zero_counters;
       bad_table = [];

@@ -97,8 +97,13 @@ val fresh_fid : ?directory:bool -> t -> File_id.t
 
 val policy : t -> allocation_policy
 val set_policy : t -> allocation_policy -> unit
-val label_checking : t -> bool
 val set_label_checking : t -> bool -> unit
+
+val set_verify_first_writes : t -> bool -> unit
+(** Read back the first write of every page {!allocate_page} hands out;
+    a sector whose data surface fails gets the bad-page marker and is
+    quarantined, and allocation moves on. Off by default: a
+    value-verifying scavenge turns it on while it allocates. *)
 
 (** {2 Allocation} *)
 
@@ -110,16 +115,7 @@ val allocate_page :
     effect). *)
 
 val reserve : t -> (Disk_address.t, error) result
-(** The map half of allocation only: pick a page and mark it busy. Used
-    when several pages' labels must cross-link before any is written;
-    each must still be written with {!write_first}. *)
-
-val unreserve : t -> Disk_address.t -> unit
-
-val write_first :
-  t -> Disk_address.t -> Label.t -> Word.t array -> (unit, [ `Not_free | `Bad ]) result
-(** The disk half: check-free then write label and value (two disk
-    operations — the revolution the paper charges to allocation). *)
+(** The map half of allocation only: pick a page and mark it busy. *)
 
 val free_page : t -> Page.full_name -> (unit, error) result
 (** Check the page's name, write ones through label and value, clear the
@@ -205,7 +201,6 @@ type counters = {
 }
 
 val counters : t -> counters
-val reset_counters : t -> unit
 
 (** {2 Reconstruction interface}
 
@@ -218,7 +213,6 @@ val create_unmounted : Drive.t -> t
     calls {!rebuild_descriptor}. *)
 
 val set_next_serial : t -> int -> unit
-val next_serial : t -> int
 
 val rebuild_descriptor : t -> (unit, error) result
 (** Re-create the descriptor file's pages at the standard addresses

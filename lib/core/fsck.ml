@@ -66,14 +66,26 @@ let check ?(verify_values = true) drive =
       (fun d -> violations := { i_class = cls; i_addr = addr; i_detail = d } :: !violations)
       fmt
   in
-  (* Pass 1: sweep every label (§3.5's first move, reused verbatim). *)
+  (* Pass 1: sweep every label (§3.5's first move, reused verbatim).
+     Two sectors both claiming one (file, page) is a crash caught
+     mid-move (relocation or compaction died between copy and retire);
+     the sweep's index puts the lowest first, the chain links
+     disambiguate the real one, and each twin is a leak for the
+     scavenger. *)
   let sweep = Sweep.run drive in
   let live = ref 0 and free = ref 0 and marked_bad = ref 0 in
   let bad_media = ref 0 and garbage = ref 0 in
   Array.iteri
     (fun i cls ->
       match cls with
-      | Sweep.Live _ -> incr live
+      | Sweep.Live l -> (
+          incr live;
+          let claims f = Hashtbl.find_opt f l.Label.page in
+          match Option.bind (Sweep.file sweep l.Label.fid) claims with
+          | Some ((w, _) :: _) when w <> i ->
+              finding ~addr:i "cross-linked" "duplicate claim on (%a, %d)" File_id.pp
+                l.Label.fid l.Label.page
+          | _ -> ())
       | Sweep.Free_sector -> incr free
       | Sweep.Marked_bad -> incr marked_bad
       | Sweep.Bad_media -> incr bad_media
@@ -84,33 +96,7 @@ let check ?(verify_values = true) drive =
              unparseable label at 0 is the healthy state, not damage. *)
           if i <> 0 then finding ~addr:i "garbage-label" "unparseable label (%s)" msg)
     sweep.Sweep.classes;
-  (* Pass 2: index the live labels by absolute name. Two sectors both
-     claiming one (file, page) is a crash caught mid-move (relocation or
-     compaction died between copy and retire); the chain links
-     disambiguate the real one, the other is a leak for the scavenger. *)
-  let pages : (File_id.t, (int, int list) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let label_at : Label.t option array = Array.make n None in
-  Array.iteri
-    (fun i cls ->
-      match cls with
-      | Sweep.Live label ->
-          label_at.(i) <- Some label;
-          let per_file =
-            match Hashtbl.find_opt pages label.Label.fid with
-            | Some h -> h
-            | None ->
-                let h = Hashtbl.create 8 in
-                Hashtbl.add pages label.Label.fid h;
-                h
-          in
-          let prior = Option.value ~default:[] (Hashtbl.find_opt per_file label.Label.page) in
-          if prior <> [] then
-            finding ~addr:i "cross-linked" "duplicate claim on (%a, %d)" File_id.pp
-              label.Label.fid label.Label.page;
-          Hashtbl.replace per_file label.Label.page (i :: prior)
-      | _ -> ())
-    sweep.Sweep.classes;
-  (* Pass 3: mount the descriptor read-only. Mount failure is a
+  (* Pass 2: mount the descriptor read-only. Mount failure is a
      violation — recovery always ends with a mountable pack — but the
      label-level passes above have already run, so the report still
      describes the wreck. *)
@@ -119,7 +105,7 @@ let check ?(verify_values = true) drive =
   if not descriptor_ok then
     violation "descriptor" "the disk descriptor does not mount; scavenge required";
   let dirty = match mounted with Some fs -> Fs.dirty fs | None -> false in
-  (* Pass 4: the allocation map against the labels. Both lie classes are
+  (* Pass 3: the allocation map against the labels. Both lie classes are
      findings, not violations: a free-in-map live page is caught by the
      label check before any damage ("a little extra one-time disk
      activity"), and a busy-in-map free page is merely lost until swept. *)
@@ -142,103 +128,90 @@ let check ?(verify_values = true) drive =
               "bad sector free in the map (allocator may probe it)"
         | _ -> ()
       done);
-  (* Pass 5: the catalogue. Every root entry must name a file whose
+  (* Pass 4: the catalogue. Every root entry must name a file whose
      page 0 exists; a dangling entry is a promise ls makes and open
-     breaks. *)
+     breaks. The root itself is whichever file the descriptor names —
+     a scavenge that could not open the old root makes a new one under
+     a fresh file id. *)
   let catalogued : (File_id.t, unit) Hashtbl.t = Hashtbl.create 16 in
   let catalogued_count = ref 0 in
   (match mounted with
   | None -> ()
   | Some fs -> (
-      if Fs.root_dir fs = None then
-        violation "root" "the descriptor names no root directory"
-      else
-        match Directory.open_root fs with
-        | Error e ->
-            violation "root" "the root directory does not open: %a" Directory.pp_error e
-        | Ok root -> (
-            match Directory.entries root with
-            | Error e ->
-                violation "root" "the root directory does not read: %a"
-                  Directory.pp_error e
-            | Ok entries ->
-                Hashtbl.replace catalogued File_id.root_directory ();
-                List.iter
-                  (fun (e : Directory.entry) ->
-                    let fn = e.Directory.entry_file in
-                    let fid = fn.Page.abs.Page.fid in
-                    match Hashtbl.find_opt pages fid with
-                    | None ->
-                        violation "dangling-entry" "%S names a file with no pages"
-                          e.Directory.entry_name
-                    | Some per_file -> (
-                        incr catalogued_count;
-                        Hashtbl.replace catalogued fid ();
-                        match Hashtbl.find_opt per_file 0 with
-                        | None | Some [] ->
-                            violation "dangling-entry" "%S names a headless file"
-                              e.Directory.entry_name
-                        | Some addrs ->
-                            if
-                              Disk_address.is_nil fn.Page.addr
-                              || not
-                                   (List.mem
-                                      (Disk_address.to_index fn.Page.addr)
-                                      addrs)
-                            then
-                              finding "stale-entry-address"
-                                "%S hints a wrong leader address"
-                                e.Directory.entry_name))
-                  entries)));
+      match Fs.root_dir fs with
+      | None -> violation "root" "the descriptor names no root directory"
+      | Some root_name -> (
+          match Directory.open_root fs with
+          | Error e ->
+              violation "root" "the root directory does not open: %a" Directory.pp_error e
+          | Ok root -> (
+              match Directory.entries root with
+              | Error e ->
+                  violation "root" "the root directory does not read: %a"
+                    Directory.pp_error e
+              | Ok entries ->
+                  Hashtbl.replace catalogued root_name.Page.abs.Page.fid ();
+                  List.iter
+                    (fun (e : Directory.entry) ->
+                      let fn = e.Directory.entry_file in
+                      let fid = fn.Page.abs.Page.fid in
+                      match Sweep.file sweep fid with
+                      | None ->
+                          violation "dangling-entry" "%S names a file with no pages"
+                            e.Directory.entry_name
+                      | Some pages -> (
+                          incr catalogued_count;
+                          Hashtbl.replace catalogued fid ();
+                          match Hashtbl.find_opt pages 0 with
+                          | None ->
+                              violation "dangling-entry" "%S names a headless file"
+                                e.Directory.entry_name
+                          | Some claims ->
+                              let hint = fn.Page.addr in
+                              if
+                                Disk_address.is_nil hint
+                                || not (List.mem_assoc (Disk_address.to_index hint) claims)
+                              then
+                                finding "stale-entry-address" "%S hints a wrong leader address"
+                                  e.Directory.entry_name))
+                    entries))));
   Hashtbl.replace catalogued File_id.descriptor ();
-  (* Pass 6: file structure. A catalogued file must be whole — leader
-     parseable, pages 0..last contiguous; the same damage on an
-     uncatalogued file is only a leaked fragment awaiting adoption. *)
+  (* Pass 5: file structure, from the sweep's chain facts. A catalogued
+     file must be whole — leader parseable, pages 0..last contiguous;
+     the same damage on an uncatalogued file is only a leaked fragment
+     awaiting adoption. A wrong link hint costs a ladder climb, not
+     data. *)
   let files = ref 0 in
   let orphans = ref 0 in
   let is_catalogued fid = Hashtbl.mem catalogued fid in
   let sev fid = if is_catalogued fid then violation else finding in
-  Hashtbl.iter
-    (fun fid per_file ->
-      let max_page = Hashtbl.fold (fun p _ acc -> max p acc) per_file (-1) in
-      let headless = not (Hashtbl.mem per_file 0) in
-      if headless then begin
-        (sev fid) "headless-file" "%a has pages but no leader" File_id.pp fid;
-        if not (is_catalogued fid) then incr orphans
-      end
-      else begin
-        incr files;
-        if (not (is_catalogued fid)) && mounted <> None then begin
-          incr orphans;
-          finding "orphan" "%a is catalogued nowhere (scavenger will adopt it)"
-            File_id.pp fid
-        end;
-        for p = 0 to max_page do
-          match Hashtbl.find_opt per_file p with
-          | None | Some [] ->
-              (sev fid) "broken-chain" "%a is missing page %d of %d" File_id.pp fid p
-                max_page
-          | Some (_ :: _ as addrs) -> (
-              (* Link hints between consecutive single-claim pages; a
-                 wrong hint costs a ladder climb, not data. *)
-              let single = function [ a ] -> Some a | _ -> None in
-              match
-                ( single addrs,
-                  Option.bind (Hashtbl.find_opt per_file (p + 1)) single )
-              with
-              | Some a, Some next_addr -> (
-                  match label_at.(a) with
-                  | Some l
-                    when Disk_address.is_nil l.Label.next
-                         || Disk_address.to_index l.Label.next <> next_addr ->
-                      finding ~addr:a "stale-link" "%a page %d next-hint is wrong"
-                        File_id.pp fid p
-                  | _ -> ())
-              | _ -> ())
-        done
-      end)
-    pages;
-  (* Pass 7: the data itself. One whole-pack elevator batch of
+  let check_chain fid pages =
+    let chain = Sweep.chain pages in
+    if chain.Sweep.headless then begin
+      (sev fid) "headless-file" "%a has pages but no leader" File_id.pp fid;
+      if not (is_catalogued fid) then incr orphans
+    end
+    else begin
+      incr files;
+      if (not (is_catalogued fid)) && mounted <> None then begin
+        incr orphans;
+        finding "orphan" "%a is catalogued nowhere (scavenger will adopt it)"
+          File_id.pp fid
+      end;
+      List.iter
+        (function
+          | Sweep.Missing pn ->
+              (sev fid) "broken-chain" "%a is missing page %d of %d" File_id.pp fid pn
+                chain.Sweep.last
+          | Sweep.Stale_next (pn, i) ->
+              finding ~addr:i "stale-link" "%a page %d next-hint is wrong" File_id.pp
+                fid pn)
+        chain.Sweep.defects
+    end
+  in
+  Hashtbl.iter check_chain sweep.Sweep.files;
+  Option.iter (check_chain File_id.descriptor) (Sweep.file sweep File_id.descriptor);
+  (* Pass 6: the data itself. One whole-pack elevator batch of
      label+value reads (the audit's slice machinery); any live page that
      will not read back — torn by a crash, or decayed — is data loss if
      a catalogued file owns it, a leaked fragment otherwise. *)
@@ -249,9 +222,9 @@ let check ?(verify_values = true) drive =
     let slice = Audit.read_slice fs_for_reads ~start:0 ~k:n in
     Array.iteri
       (fun j index ->
-        match label_at.(index) with
-        | None -> ()
-        | Some label ->
+        match sweep.Sweep.classes.(index) with
+        | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media | Sweep.Garbage _ -> ()
+        | Sweep.Live label ->
             if not (Audit.sector_ok slice j) then
               (sev label.Label.fid)
                 ~addr:index

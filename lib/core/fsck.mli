@@ -16,11 +16,13 @@
     a dangling directory entry: states bounded recovery must never leave
     behind, where the cure is a full scavenge.
 
+    Duplicate claims and chain defects come from {!Sweep}'s pack analysis
+    — the index and chain facts the scavenger rebuilds files from.
     Everything runs through ordinary timed operations ({!Sweep} plus one
-    whole-pack {!Audit.read_slice} batch), so a check's simulated cost
-    is honest. Nothing is ever written. Callers checking a {e live}
-    volume must {!Bio.flush} it first so the platter holds every
-    acknowledged write. *)
+    whole-pack {!Audit.read_slice} batch), so a check's simulated cost is
+    honest. Nothing is ever written. Callers checking a {e live} volume
+    must {!Bio.flush} it first so the platter holds every acknowledged
+    write. *)
 
 module Drive = Alto_disk.Drive
 

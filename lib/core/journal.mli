@@ -36,11 +36,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val journal_name : string -> string
-(** ["<name>;journal"] — the journal file's catalogue name. *)
-
-val snapshot_name : string -> string
-
 val create : Fs.t -> parent:File.t -> name:string -> (t, error) result
 (** Make a fresh journaled directory called [name], cataloguing it and
     its journal and snapshot files in [parent]. *)

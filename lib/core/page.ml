@@ -26,10 +26,6 @@ let next_name fn (label : Label.t) =
   if Disk_address.is_nil label.Label.next then None
   else Some (full_name fn.abs.fid ~page:(fn.abs.page + 1) ~addr:label.Label.next)
 
-let prev_name fn (label : Label.t) =
-  if Disk_address.is_nil label.Label.prev then None
-  else Some (full_name fn.abs.fid ~page:(fn.abs.page - 1) ~addr:label.Label.prev)
-
 type error = Hint_failed of Drive.error | Bad_label of string
 
 let pp_error fmt = function
@@ -279,13 +275,15 @@ let rewrite_label ?cache ?bio drive fn ~new_label ~value =
           | None -> ());
           Ok ())
 
-let read_raw drive addr =
-  let header = Array.make Sector.header_words Word.zero in
-  let label = Array.make Sector.label_words Word.zero in
+let retire drive addr =
   match
     Reliable.run drive addr
-      { Drive.op_none with header = Some Drive.Read; label = Some Drive.Read }
-      ~header ~label ()
+      { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
+      ~label:(Label.bad_words ()) ~value:(Label.free_value ()) ()
   with
-  | Error e -> Error e
-  | Ok () -> Ok (header, label)
+  | Ok () | Error _ -> ()
+
+let value_reads drive addr =
+  Result.is_ok
+    (Reliable.run drive addr { Drive.op_none with value = Some Drive.Read }
+       ~value:(Array.make Sector.value_words Word.zero) ())

@@ -24,8 +24,6 @@ val next_name : full_name -> Label.t -> full_name option
     the next and previous pages". [None] when the label's next link is
     NIL. *)
 
-val prev_name : full_name -> Label.t -> full_name option
-
 type error =
   | Hint_failed of Drive.error
       (** The label check refuted the address hint, or the sector is
@@ -102,6 +100,11 @@ val rewrite_label :
     written label and value are re-installed clean — superseding any
     delayed value write the buffer held for the sector. *)
 
-val read_raw :
-  Drive.t -> Disk_address.t -> (Word.t array * Word.t array, Drive.error) result
-(** Header and label, no checking — what the scavenger's sweep uses. *)
+val retire : Drive.t -> Disk_address.t -> unit
+(** Write the bad-page marker through a dying sector, best effort: the
+    data surface accepts writes blind, and a sector too far gone to take
+    even the marker is left to the quarantine table. *)
+
+val value_reads : Drive.t -> Disk_address.t -> bool
+(** Whether the sector's data reads back through the retry ladder. A
+    dead data surface takes writes blind; only a read says so. *)

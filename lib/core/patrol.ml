@@ -107,17 +107,6 @@ let fresh_tally () =
     c_changed = false;
   }
 
-(* Write the bad marker through a dying sector, best effort: the value
-   surface accepts writes blind, and a sector too far gone to take even
-   the marker is quarantined by the table alone. *)
-let retire drive addr =
-  match
-    Reliable.run drive addr
-      { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
-      ~label:(Label.bad_words ()) ~value:(Label.free_value ()) ()
-  with
-  | Ok () | Error _ -> ()
-
 let salvage_value drive addr =
   let value = Array.make Sector.value_words Word.zero in
   match
@@ -197,7 +186,7 @@ let relocate t tally ~src ~(lab : Label.t) ~value =
       fix_neighbour t tally ~fid ~page:(lab.Label.page + 1) ~addr:lab.Label.next
         ~patch:(fun (l : Label.t) -> { l with Label.prev = dst });
       if lab.Label.page = 0 then fix_catalogue t dst fid;
-      retire drive src;
+      Page.retire drive src;
       Fs.quarantine t.fs src;
       (* Both ends of the move shed any cached label, explicitly: a
          cached image must never resurrect the page at its old address,
@@ -227,7 +216,7 @@ let relocate t tally ~src ~(lab : Label.t) ~value =
       Some dst
 
 let note_quarantined t tally addr ~lost =
-  retire (Fs.drive t.fs) addr;
+  Page.retire (Fs.drive t.fs) addr;
   Fs.quarantine t.fs addr;
   tally.c_quarantined <- tally.c_quarantined + 1;
   tally.c_changed <- true;
@@ -497,9 +486,3 @@ let pp_report fmt r =
     r.first_sector r.scanned r.suspects r.relocated r.quarantined r.pages_lost
     r.map_repairs
     (if r.wrapped then " (lap complete)" else "")
-
-let pp_recovery fmt r =
-  Format.fprintf fmt
-    "recovered from sector %d: %d sectors in %a; %d relocated, %d quarantined, %d lost"
-    r.resumed_at r.sectors_scanned Sim_clock.pp_duration r.duration_us r.r_relocated
-    r.r_quarantined r.r_pages_lost

@@ -115,4 +115,3 @@ val recover : ?slice:int -> ?suspect_retries:int -> Fs.t -> recovery
     against the scavenger's multiple whole-pack passes. *)
 
 val pp_report : Format.formatter -> report -> unit
-val pp_recovery : Format.formatter -> recovery -> unit

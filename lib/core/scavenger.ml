@@ -77,12 +77,8 @@ let pp_report fmt r =
     (if r.root_rebuilt then ", root rebuilt" else "")
 
 
-(* Mutable per-file assembly: page number -> (sector index, label). *)
-type file_pages = (int, int * Label.t) Hashtbl.t
-
 type state = {
   drive : Drive.t;
-  mutable duplicate_pages : int;
   mutable duplicates_rescued : int;
   mutable leaders_rebuilt : int;
   mutable pages_lost : int;
@@ -95,33 +91,6 @@ type state = {
   mutable entries_removed : int;
   mutable orphans_adopted : int;
 }
-
-(* Copy one page's sector to a fresh location, out of the descriptor's
-   reserved range (or off a marginal surface). The read runs under the
-   salvage policy: this is the last copy of somebody's data, so the
-   scavenger tries much harder than the ordinary ladder before giving
-   the page up. *)
-let move_page st ~fid ~pn ~src ~dst (label : Label.t) =
-  let value = Array.make Sector.value_words Word.zero in
-  let src_addr = Disk_address.of_index src and dst_addr = Disk_address.of_index dst in
-  match
-    Reliable.run ~policy:Reliable.salvage_policy st.drive src_addr
-      { Drive.op_none with value = Some Drive.Read }
-      ~value ()
-  with
-  | Error _ -> false
-  | Ok () -> (
-      ignore fid;
-      ignore pn;
-      match
-        Reliable.run st.drive dst_addr
-          { Drive.op_none with label = Some Drive.Write; value = Some Drive.Write }
-          ~label:(Label.to_words label) ~value ()
-      with
-      | Error _ -> false
-      | Ok () ->
-          st.relocated_pages <- st.relocated_pages + 1;
-          true)
 
 (* Rewrite a page's label with corrected links (reads the value first —
    the write-continuation rule means a label write must carry the value
@@ -150,6 +119,14 @@ let repair_label st ~fid ~pn ~addr_index ~length ~next ~prev =
           true
       | Error _ -> false)
 
+(* A lost leader costs a file its name and dates, never its data. *)
+let scavenged_name (fid : File_id.t) =
+  Printf.sprintf "Scavenged.%d!%d" fid.File_id.serial fid.File_id.version
+
+let synthetic_leader fid ~last_page ~last =
+  Leader.make ~name:(scavenged_name fid) ~last_page
+    ~last_addr:(Disk_address.of_index last) ~maybe_consecutive:false ()
+
 let scavenge_run ~verify_values ~suspect_retries drive =
   let clock = Drive.clock drive in
   let started = Sim_clock.now_us clock in
@@ -161,7 +138,6 @@ let scavenge_run ~verify_values ~suspect_retries drive =
   let st =
     {
       drive;
-      duplicate_pages = 0;
       duplicates_rescued = 0;
       leaders_rebuilt = 0;
       pages_lost = 0;
@@ -176,38 +152,15 @@ let scavenge_run ~verify_values ~suspect_retries drive =
     }
   in
 
-  (* 1. Group live pages by file id; detect duplicate absolute names.
-     The first claimant wins, but the losers are kept aside: a crash
-     mid-move (compaction, relocation) leaves two sectors claiming one
-     page, and if the chosen copy turns out torn the twin may still
-     hold the data. *)
-  let files : (File_id.t, file_pages) Hashtbl.t = Hashtbl.create 64 in
-  let spares : (File_id.t * int, (int * Label.t) list) Hashtbl.t = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    match sweep.Sweep.classes.(i) with
-    | Sweep.Live label ->
-        let fid = label.Label.fid in
-        (* The descriptor is rebuilt from scratch, so its old pages are
-           simply not collected. *)
-        if not (File_id.equal fid File_id.descriptor) then begin
-          let pages =
-            match Hashtbl.find_opt files fid with
-            | Some p -> p
-            | None ->
-                let p = Hashtbl.create 8 in
-                Hashtbl.add files fid p;
-                p
-          in
-          match Hashtbl.find_opt pages label.Label.page with
-          | Some _ ->
-              st.duplicate_pages <- st.duplicate_pages + 1;
-              let key = (fid, label.Label.page) in
-              let prior = Option.value ~default:[] (Hashtbl.find_opt spares key) in
-              Hashtbl.replace spares key ((i, label) :: prior)
-          | None -> Hashtbl.add pages label.Label.page (i, label)
-        end
-    | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media | Sweep.Garbage _ -> ()
-  done;
+  (* 1. The sweep has grouped the live pages by absolute name (the
+     descriptor apart: it is rebuilt from scratch). A crash mid-move
+     leaves two sectors claiming one page; the lowest wins, and if it
+     turns out torn its twin may still hold the data. *)
+  let files = sweep.Sweep.files in
+  let duplicate_pages =
+    let twins _ claims n = n + List.length claims - 1 in
+    Hashtbl.fold (fun _ pages n -> Hashtbl.fold twins pages n) files 0
+  in
 
   (* 1b. Optional value verification: read every live page's data under
      the salvage retry policy. A sector whose label works but whose data
@@ -220,6 +173,26 @@ let scavenge_run ~verify_values ~suspect_retries drive =
      copied off to a fresh sector in step 4. *)
   let quarantined : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let suspects : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let mark_bad i =
+    Page.retire st.drive (Disk_address.of_index i);
+    Hashtbl.replace quarantined i ()
+  in
+  (* Lay a page image on [dst], a sector the sweep found free. Value
+     verification never read it, so the copy is read back too, and a
+     dead surface is retired in favour of the next sector [next]. *)
+  let rec write_fresh ~next dst ~label ~value =
+    let addr = Disk_address.of_index dst in
+    match
+      Reliable.run st.drive addr
+        { Drive.op_none with Drive.label = Some Drive.Write; value = Some Drive.Write }
+        ~label ~value ()
+    with
+    | Error _ -> None
+    | Ok () when verify_values && not (Page.value_reads st.drive addr) ->
+        mark_bad dst;
+        Option.bind (next ()) (fun dst -> write_fresh ~next dst ~label ~value)
+    | Ok () -> Some dst
+  in
   if verify_values then
     pass "verify" (fun () ->
     (* One elevator batch over every live page. The probe buffer is
@@ -228,8 +201,10 @@ let scavenge_run ~verify_values ~suspect_retries drive =
     let probe = Array.make Alto_disk.Sector.value_words Word.zero in
     let live =
       Hashtbl.fold
-        (fun fid (pages : file_pages) acc ->
-          Hashtbl.fold (fun pn (i, _) acc -> (i, pn, fid, pages) :: acc) pages acc)
+        (fun fid (pages : Sweep.file) acc ->
+          Hashtbl.fold
+            (fun pn claims acc -> (fst (List.hd claims), pn, fid, pages) :: acc)
+            pages acc)
         files []
     in
     let live = Array.of_list live in
@@ -252,17 +227,7 @@ let scavenge_run ~verify_values ~suspect_retries drive =
             if outcome.Sched.retries >= suspect_retries then
               Hashtbl.replace suspects i ()
         | Error (Drive.Bad_sector | Drive.Check_mismatch _ | Drive.Transient _) ->
-            (* Write the marker; the data surface accepts writes blind. *)
-            (match
-               Reliable.run st.drive (Disk_address.of_index i)
-                 { Drive.op_none with
-                   Drive.label = Some Drive.Write;
-                   value = Some Drive.Write
-                 }
-                 ~label:(Label.bad_words ()) ~value:(Label.free_value ()) ()
-             with
-            | Ok () | Error _ -> ());
-            Hashtbl.replace quarantined i ();
+            mark_bad i;
             (* Before declaring the page lost, try its twins: a crash
                between a move's copy and its retire leaves a readable
                duplicate, and the torn copy must not take the data down
@@ -283,11 +248,12 @@ let scavenge_run ~verify_values ~suspect_retries drive =
                       ~value:probe ()
                   with
                   | Ok () ->
-                      Hashtbl.replace pages pn (si, slabel);
+                      Hashtbl.replace pages pn [ (si, slabel) ];
                       st.duplicates_rescued <- st.duplicates_rescued + 1
                   | Error _ -> rescue rest)
             in
-            rescue (Option.value ~default:[] (Hashtbl.find_opt spares (fid, pn))))
+            (* Highest-numbered twin first. *)
+            rescue (List.rev (List.tl (Hashtbl.find pages pn))))
       outcomes);
 
   (* 2. Per-file contiguity: keep the longest prefix 0..k; everything
@@ -317,62 +283,44 @@ let scavenge_run ~verify_values ~suspect_retries drive =
       Some i
     end
   in
-  let rebuild_leader fid (pages : file_pages) =
-    match Hashtbl.find_opt pages 1 with
+  let rebuild_leader fid (pages : Sweep.file) ~last =
+    last >= 1
+    &&
+    let sector pn = fst (List.hd (Hashtbl.find pages pn)) in
+    let leader = synthetic_leader fid ~last_page:last ~last:(sector last) in
+    let label =
+      Label.make ~fid ~page:0 ~length:Sector.bytes_per_page
+        ~next:(Disk_address.of_index (sector 1)) ~prev:Disk_address.nil
+    in
+    match
+      Option.bind (take_free_sector ()) (fun dst ->
+          write_fresh ~next:take_free_sector dst ~label:(Label.to_words label)
+            ~value:(Leader.to_value leader))
+    with
     | None -> false
-    | Some (p1_i, _) -> (
-        let rec last k = if Hashtbl.mem pages (k + 1) then last (k + 1) else k in
-        let k = last 1 in
-        let last_i, _ = Hashtbl.find pages k in
-        let leader =
-          Leader.make
-            ~name:
-              (Printf.sprintf "Scavenged.%d!%d" fid.File_id.serial fid.File_id.version)
-            ~last_page:k
-            ~last_addr:(Disk_address.of_index last_i)
-            ~maybe_consecutive:false ()
-        in
-        let label =
-          Label.make ~fid ~page:0 ~length:Sector.bytes_per_page
-            ~next:(Disk_address.of_index p1_i) ~prev:Disk_address.nil
-        in
-        match take_free_sector () with
-        | None -> false
-        | Some dst -> (
-            match
-              Reliable.run st.drive (Disk_address.of_index dst)
-                { Drive.op_none with
-                  Drive.label = Some Drive.Write;
-                  value = Some Drive.Write
-                }
-                ~label:(Label.to_words label)
-                ~value:(Leader.to_value leader) ()
-            with
-            | Ok () ->
-                Hashtbl.replace pages 0 (dst, label);
-                st.leaders_rebuilt <- st.leaders_rebuilt + 1;
-                true
-            | Error _ -> false))
+    | Some dst ->
+        Hashtbl.replace pages 0 [ (dst, label) ];
+        st.leaders_rebuilt <- st.leaders_rebuilt + 1;
+        true
   in
   let final : (File_id.t, (int * Label.t) array) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter
-    (fun fid (pages : file_pages) ->
+    (fun fid (pages : Sweep.file) ->
+      let { Sweep.headless; prefix = k; _ } = Sweep.chain pages in
       if Hashtbl.length pages = 0 then ()
-      else if not (Hashtbl.mem pages 0 || rebuild_leader fid pages) then begin
+      else if headless && not (rebuild_leader fid pages ~last:k) then begin
         st.incomplete_files <- st.incomplete_files + 1;
         st.pages_lost <- st.pages_lost + Hashtbl.length pages
       end
       else begin
-        let rec prefix k = if Hashtbl.mem pages (k + 1) then prefix (k + 1) else k in
-        let k = prefix 0 in
-        let total = Hashtbl.length pages in
-        if total > k + 1 then begin
+        (* A rebuilt leader fronts pages 1..k, so the prefix holds. *)
+        let beyond = Hashtbl.length pages - (k + 1) in
+        if beyond > 0 then begin
           st.incomplete_files <- st.incomplete_files + 1;
-          Hashtbl.iter
-            (fun pn (_, _) -> if pn > k then st.pages_lost <- st.pages_lost + 1)
-            pages
+          st.pages_lost <- st.pages_lost + beyond
         end;
-        Hashtbl.replace final fid (Array.init (k + 1) (fun pn -> Hashtbl.find pages pn))
+        Hashtbl.replace final fid
+          (Array.init (k + 1) (fun pn -> List.hd (Hashtbl.find pages pn)))
       end)
     files;
 
@@ -422,43 +370,50 @@ let scavenge_run ~verify_values ~suspect_retries drive =
       Some !next_target
     end
   in
+  (* Copy one page's sector to a fresh location. The read runs under the
+     salvage policy: this is the last copy of somebody's data, so the
+     scavenger tries much harder than the ordinary ladder before giving
+     the page up. *)
+  let move_page ~src (label : Label.t) =
+    Option.bind (pick_target ()) (fun dst ->
+        let value = Array.make Sector.value_words Word.zero in
+        match
+          Reliable.run ~policy:Reliable.salvage_policy st.drive
+            (Disk_address.of_index src)
+            { Drive.op_none with value = Some Drive.Read }
+            ~value ()
+        with
+        | Error _ -> None
+        | Ok () ->
+            let label = Label.to_words label in
+            let moved = write_fresh ~next:pick_target dst ~label ~value in
+            if moved <> None then st.relocated_pages <- st.relocated_pages + 1;
+            moved)
+  in
+  let evacuated = ref [] in
   pass "evacuate" (fun () ->
   Hashtbl.iter
-    (fun fid pages ->
+    (fun _ pages ->
       Array.iteri
         (fun pn (i, label) ->
           let suspect = Hashtbl.mem suspects i in
           if reserved i || suspect then
-            match pick_target () with
-            | Some dst when move_page st ~fid ~pn ~src:i ~dst label ->
+            match move_page ~src:i label with
+            | Some dst ->
                 pages.(pn) <- (dst, label);
                 if suspect then begin
                   st.marginal_relocated <- st.marginal_relocated + 1;
                   (* Retire the old copy: bad marker in the label so the
                      sector reads as quarantined ever after, never as a
                      duplicate of the page that just moved. *)
-                  (match
-                     Reliable.run st.drive (Disk_address.of_index i)
-                       { Drive.op_none with
-                         Drive.label = Some Drive.Write;
-                         value = Some Drive.Write
-                       }
-                       ~label:(Label.bad_words ()) ~value:(Label.free_value ())
-                       ()
-                   with
-                  | Ok () | Error _ -> ());
-                  Hashtbl.replace quarantined i ()
+                  mark_bad i
                 end
-            | Some _ | None ->
-                if suspect then
-                  (* Could not rescue it; the page stays on the marginal
-                     sector and keeps its data for now. *)
-                  pages.(pn) <- (i, label)
-                else begin
-                  (* No room or the move failed: the page is lost. *)
-                  st.pages_lost <- st.pages_lost + 1;
-                  pages.(pn) <- (i, label)
-                end)
+                else evacuated := i :: !evacuated
+            | None ->
+                (* A suspect that could not be rescued stays on its
+                   marginal sector and keeps its data for now; any
+                   other page with no room or a failed move is lost. *)
+                if not suspect then st.pages_lost <- st.pages_lost + 1)
         pages)
     final);
 
@@ -474,6 +429,18 @@ let scavenge_run ~verify_values ~suspect_retries drive =
       | Sweep.Garbage _ | Sweep.Live _ -> to_free := i :: !to_free
       | Sweep.Marked_bad | Sweep.Bad_media -> assert false
   done;
+  (* Reserved sectors stay busy, but a label there naming no page kept
+     there is stale: an evacuated page's old copy would otherwise answer
+     the label checks of the passes below. *)
+  to_free := List.rev_append !evacuated !to_free;
+  let kept_at_0 (l : Label.t) =
+    match Hashtbl.find_opt final l.Label.fid with
+    | Some pages -> l.Label.page < Array.length pages && fst pages.(l.Label.page) = 0
+    | None -> false
+  in
+  (match sweep.Sweep.classes.(0) with
+  | Sweep.Live l when not (kept_at_0 l) -> to_free := 0 :: !to_free
+  | _ -> ());
   let to_free = Array.of_list !to_free in
   let free_outcomes =
     pass "free" (fun () ->
@@ -580,9 +547,27 @@ let scavenge_run ~verify_values ~suspect_retries drive =
       | Error (Drive.Bad_sector | Drive.Check_mismatch _ | Drive.Transient _) ->
           incr nameless_files
       | Ok () -> (
+          let fid, i = leaders.(j) in
           match Leader.of_value leader_values.(j) with
           | Ok _ -> ()
-          | Error _ -> incr nameless_files))
+          | Error _ ->
+              incr nameless_files;
+              (* A legible label over an illegible leader would never
+                 open again: a fresh leader goes in place, as a headless
+                 file's goes on a free sector. (Page 0 of a reserved,
+                 non-directory serial — the boot record — is no leader.) *)
+              let pages = Hashtbl.find final fid in
+              let last_page = Array.length pages - 1 in
+              let leader =
+                Leader.to_value
+                  (synthetic_leader fid ~last_page ~last:(fst pages.(last_page)))
+              in
+              let fn = Page.full_name fid ~page:0 ~addr:(Disk_address.of_index i) in
+              let system = fid.File_id.serial < File_id.first_user_serial in
+              if (File_id.is_directory fid || not system)
+                 && Result.is_ok (Page.write drive fn leader)
+              then
+                st.leaders_rebuilt <- st.leaders_rebuilt + 1))
     leader_outcomes;
 
   (* 9. Serial counter: beyond every serial seen. *)
@@ -591,7 +576,9 @@ let scavenge_run ~verify_values ~suspect_retries drive =
   in
   Fs.set_next_serial fs (max (max_serial + 1) File_id.first_user_serial);
 
-  (* 9. Directories: verify entries, fix addresses, drop dangling ones. *)
+  (* 9. Directories: verify entries, fix addresses, drop dangling ones.
+     Every page the catalogue is rebuilt on is verified as allocated. *)
+  Fs.set_verify_first_writes fs verify_values;
   let leader_name_of fid = Page.full_name fid ~page:0 ~addr:(Disk_address.of_index (fst (Hashtbl.find final fid).(0))) in
   let referenced : (File_id.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let open_directories =
@@ -697,12 +684,8 @@ let scavenge_run ~verify_values ~suspect_retries drive =
                   match Leader.of_value value with
                   | Ok leader when String.length leader.Leader.name > 0 ->
                       leader.Leader.name
-                  | Ok _ | Error _ ->
-                      Printf.sprintf "Scavenged.%d!%d" fid.File_id.serial
-                        fid.File_id.version)
-              | Error _ ->
-                  Printf.sprintf "Scavenged.%d!%d" fid.File_id.serial
-                    fid.File_id.version
+                  | Ok _ | Error _ -> scavenged_name fid)
+              | Error _ -> scavenged_name fid
             in
             match Directory.add root ~name:(unique_name base) fn with
             | Ok () -> st.orphans_adopted <- st.orphans_adopted + 1
@@ -711,6 +694,7 @@ let scavenge_run ~verify_values ~suspect_retries drive =
         final);
 
       (* 12. A fresh descriptor at the standard address. *)
+      Fs.set_verify_first_writes fs false;
       match pass "rebuild" (fun () -> Fs.rebuild_descriptor fs) with
       | Error e -> Error (Format.asprintf "cannot write a fresh descriptor: %a" Fs.pp_error e)
       | Ok () ->
@@ -725,6 +709,18 @@ let scavenge_run ~verify_values ~suspect_retries drive =
               Flight.flush ~reason:"scavenge" fs;
               if Fs.dirty fs then
                 match Fs.mark_clean fs with Ok () | Error _ -> ());
+          (* 13. With values verified, read the descriptor back too: the
+             verify pass never reads it, and a descriptor that took its
+             writes but will not read leaves a pack that does not mount. *)
+          let unreadable =
+            if not verify_values then None
+            else
+              pass "verify" (fun () ->
+                  let slice = Audit.read_slice fs ~start:1 ~k:reserved_top in
+                  List.find_opt
+                    (fun j -> not (Audit.sector_ok slice j))
+                    (List.init reserved_top Fun.id))
+          in
           let report =
             {
               sectors_scanned = n;
@@ -739,7 +735,7 @@ let scavenge_run ~verify_values ~suspect_retries drive =
               entries_removed = st.entries_removed;
               incomplete_files = st.incomplete_files;
               pages_lost = st.pages_lost;
-              duplicate_pages = st.duplicate_pages;
+              duplicate_pages;
               relocated_pages = st.relocated_pages;
               marginal_relocated = st.marginal_relocated;
               pages_marked_bad = Hashtbl.length quarantined;
@@ -749,7 +745,11 @@ let scavenge_run ~verify_values ~suspect_retries drive =
               duration_us = Sim_clock.now_us clock - started;
             }
           in
-          Ok (fs, report))
+          match unreadable with
+          | Some j ->
+              Error
+                (Printf.sprintf "the rebuilt descriptor does not read back at DA %d" (1 + j))
+          | None -> Ok (fs, report))
 
 (* Publish one run's report into the registry: the scavenger's findings
    become structured metrics, not just the ad-hoc record. *)

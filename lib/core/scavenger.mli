@@ -11,7 +11,8 @@
 
     What it does, in order:
     + sweep every label on the disk ({!Sweep});
-    + reassemble files by absolute name, discarding duplicate pages,
+    + reassemble files from the sweep's pack analysis (the by-name index
+      and chain facts {!Fsck} reads too), discarding duplicate pages,
       headless page sets, and pages beyond a gap in the chain;
     + evacuate any foreign page squatting on the descriptor's standard
       addresses;
@@ -63,9 +64,9 @@ type report = {
           left by a crash between a move's copy and its retire — did.
           The twin takes over; the torn copy is quarantined. *)
   leaders_rebuilt : int;
-      (** Headless files given a fresh, synthesized leader page: a torn
-          leader write costs the file its dates and leader name, never
-          its data. *)
+      (** Headless files, and files whose leader would not parse, given a
+          fresh, synthesized leader page: a torn leader write costs the
+          file its dates and leader name, never its data. *)
   root_rebuilt : bool;  (** No root directory survived; a new one was made. *)
   duration_us : int;
 }
@@ -75,14 +76,18 @@ val pp_report : Format.formatter -> report -> unit
 val scavenge :
   ?verify_values:bool -> ?suspect_retries:int -> Drive.t -> (Fs.t * report, string) result
 (** The only fatal error is a disk so broken that a fresh descriptor
-    cannot be written. [verify_values] (default off — it roughly doubles
-    the disk time) additionally reads every live page's data, under
+    cannot be written — or, with [verify_values], read back. A default
+    scavenge reads no values, so it cannot tell a descriptor sector with
+    a dead data surface: it returns [Ok] on a pack that will not mount.
+    [verify_values] (default off — it roughly doubles the disk time)
+    additionally reads every live page's data, under
     {!Alto_disk.Reliable.salvage_policy}, and stamps the bad-page marker
     into the label of any sector whose surface has failed, so "they will
     never be used again" (§3.5). A page that reads back only after
     [suspect_retries] or more retries (default 2) sits on a marginal
     sector: its data is copied to a fresh sector, links re-chained, and
-    the old sector quarantined. Every sector known bad at the end of the
-    run is recorded in the rebuilt volume's persistent bad-sector table
-    ({!Fs.bad_sector_table}). Raises [Invalid_argument] if
-    [suspect_retries < 1]. *)
+    the old sector quarantined. Every page the run writes fresh is read
+    back too, a dead sector quarantined in favour of the next. Every
+    sector known bad at the end of the run is recorded in the rebuilt
+    volume's persistent bad-sector table ({!Fs.bad_sector_table}).
+    Raises [Invalid_argument] if [suspect_retries < 1]. *)

@@ -12,9 +12,14 @@ type sector_class =
   | Bad_media
   | Garbage of string
 
+type claim = int * Label.t
+type file = (int, claim list) Hashtbl.t
+
 type t = {
   classes : sector_class array;
   headers_ok : bool array;
+  files : (File_id.t, file) Hashtbl.t;
+  descriptor : file;
   duration_us : int;
 }
 
@@ -50,6 +55,24 @@ let run drive =
           { Drive.op_none with header = Some Drive.Read; label = Some Drive.Read })
   in
   let outcomes = Sched.run_batch drive requests in
+  (* Index the live labels as they are classified, in sector order: the
+     first claim on a page is its lowest sector, later ones queue behind
+     it as twins. *)
+  let files = Hashtbl.create 64 and descriptor = Hashtbl.create 8 in
+  let claim i (label : Label.t) =
+    let fid = label.Label.fid and pn = label.Label.page in
+    let pages =
+      if File_id.equal fid File_id.descriptor then descriptor
+      else
+        match Hashtbl.find_opt files fid with
+        | Some p -> p
+        | None ->
+            let p = Hashtbl.create 8 in
+            Hashtbl.add files fid p;
+            p
+    in
+    Hashtbl.replace pages pn (Option.value ~default:[] (Hashtbl.find_opt pages pn) @ [ (i, label) ])
+  in
   for i = 0 to n - 1 do
     match outcomes.(i).Sched.result with
     | Error Drive.Bad_sector -> classes.(i) <- Bad_media
@@ -66,18 +89,36 @@ let run drive =
             ~index:i
         in
         classes.(i) <- cls;
-        headers_ok.(i) <- header_ok
+        headers_ok.(i) <- header_ok;
+        (match cls with Live label -> claim i label | _ -> ())
   done;
-  { classes; headers_ok; duration_us = Sim_clock.now_us clock - started }
+  let duration_us = Sim_clock.now_us clock - started in
+  { classes; headers_ok; files; descriptor; duration_us }
 
-let live_count t =
-  Array.fold_left
-    (fun n c -> match c with Live _ -> n + 1 | Free_sector | Marked_bad | Bad_media | Garbage _ -> n)
-    0 t.classes
+let file t fid =
+  if not (File_id.equal fid File_id.descriptor) then Hashtbl.find_opt t.files fid
+  else if Hashtbl.length t.descriptor = 0 then None
+  else Some t.descriptor
 
-let pp_class fmt = function
-  | Live l -> Format.fprintf fmt "live %a" Label.pp l
-  | Free_sector -> Format.pp_print_string fmt "free"
-  | Marked_bad -> Format.pp_print_string fmt "marked bad"
-  | Bad_media -> Format.pp_print_string fmt "bad media"
-  | Garbage msg -> Format.fprintf fmt "garbage (%s)" msg
+type defect = Missing of int | Stale_next of int * int
+
+type chain = { headless : bool; prefix : int; last : int; defects : defect list }
+
+let chain (pages : file) =
+  let last = Hashtbl.fold (fun pn _ acc -> max pn acc) pages (-1) in
+  let rec run k = if Hashtbl.mem pages (k + 1) then run (k + 1) else k in
+  (* Link hints are judged only between consecutive single-claim pages:
+     with a twin in play the chain itself is what is in question. *)
+  let single pn = match Hashtbl.find_opt pages pn with Some [ c ] -> Some c | _ -> None in
+  let defects = ref [] in
+  for pn = last downto 0 do
+    if not (Hashtbl.mem pages pn) then defects := Missing pn :: !defects
+    else
+      match (single pn, single (pn + 1)) with
+      | Some (i, l), Some (next, _)
+        when Disk_address.is_nil l.Label.next
+             || Disk_address.to_index l.Label.next <> next ->
+          defects := Stale_next (pn, i) :: !defects
+      | _ -> ()
+  done;
+  { headless = not (Hashtbl.mem pages 0); prefix = run 0; last; defects = !defects }

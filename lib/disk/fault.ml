@@ -6,9 +6,6 @@ let random_words rng n =
 let corrupt_part rng drive addr part =
   Drive.poke drive addr part (random_words rng (Sector.part_size part))
 
-let zero_part drive addr part =
-  Drive.poke drive addr part (Array.make (Sector.part_size part) Word.zero)
-
 let flip_word rng drive addr part =
   let sector = Drive.peek drive addr in
   let words = Sector.part_of sector part in
@@ -22,8 +19,6 @@ let make_bad drive addr = Drive.set_bad drive addr true
 let make_value_unreadable drive addr = Drive.set_value_unreadable drive addr true
 
 let set_soft_errors drive ~seed ~rate = Drive.set_soft_errors drive ~seed ~rate
-
-let clear_soft_errors drive = Drive.set_soft_errors drive ~seed:0 ~rate:0.
 
 let make_marginal ?(rate = 0.5) ?(growth = 1.25) ?(degrade_after = 16) drive addr =
   Drive.set_marginal drive addr ~rate ~growth ~degrade_after

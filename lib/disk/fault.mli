@@ -10,8 +10,6 @@ val corrupt_part :
   Random.State.t -> Drive.t -> Disk_address.t -> Sector.part -> unit
 (** Replace every word of the part with random junk. *)
 
-val zero_part : Drive.t -> Disk_address.t -> Sector.part -> unit
-
 val flip_word :
   Random.State.t -> Drive.t -> Disk_address.t -> Sector.part -> unit
 (** Flip one random bit in one random word — a single soft error. *)
@@ -28,9 +26,6 @@ val set_soft_errors : Drive.t -> seed:int -> rate:float -> unit
 (** Turn on the drive's transient-error mode: every read/check part
     access fails with probability [rate], deterministically in [seed]
     (see {!Drive.set_soft_errors}). {!Reliable.run} absorbs these. *)
-
-val clear_soft_errors : Drive.t -> unit
-(** Base rate back to zero (marginal sectors keep their own rates). *)
 
 val make_marginal :
   ?rate:float ->

@@ -598,7 +598,14 @@ let run_trial t (w : workload) ~point ~tear =
       | Error msg ->
           log_violation (Printf.sprintf "scavenge failed: %s" msg);
           (report, content)
-      | Ok (_, _) -> interrogate ()
+      | Ok (_, _) ->
+          (* A scavenged pack must pass the checker outright: a finding
+             left behind is a repair the scavenger missed. *)
+          let ((report, _) as after) = interrogate () in
+          if report.Fsck.violations = [] && not (Fsck.clean report) then
+            log_violation
+              (Format.asprintf "not clean after scavenge: %a" Fsck.pp_report report);
+          after
     end
   in
   t.findings <- t.findings + List.length report.Fsck.findings;

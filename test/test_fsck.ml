@@ -143,6 +143,50 @@ let test_torn_page_detected_then_scavenge () =
       if r2.Fsck.violations <> [] then
         Alcotest.failf "violations survived the scavenge:@.%a" Fsck.pp_report r2
 
+let root_leader fs =
+  match Fs.root_dir fs with Some fn -> fn.Alto_fs.Page.addr | None -> failwith "root"
+
+let test_garbled_root_leader_then_scavenge () =
+  (* The root's leader keeps its label but its value will not parse, so
+     the root does not open. Whatever the scavenger makes of that, the
+     checker must pass it. *)
+  let drive, fs, _, _ = build () in
+  Fault.corrupt_part (Random.State.make [| 43 |]) drive (root_leader fs) Sector.Value;
+  match Scavenger.scavenge drive with
+  | Error msg -> Alcotest.failf "scavenge: %s" msg
+  | Ok (_, _) ->
+      let r = Fsck.check drive in
+      if not (Fsck.clean r) then
+        Alcotest.failf "scavenged pack not clean:@.%a" Fsck.pp_report r
+
+let test_rebuilt_root_is_catalogued () =
+  (* The old root's leader will not read, so the scavenger makes a new
+     root under a fresh file id and adopts the old one as an orphan. The
+     checker must take the root the descriptor names, not the constant
+     root id, or it calls the new root an orphan. *)
+  let drive, fs, _, _ = build () in
+  Fault.make_value_unreadable drive (root_leader fs);
+  match Scavenger.scavenge drive with
+  | Error msg -> Alcotest.failf "scavenge: %s" msg
+  | Ok (_, report) ->
+      Alcotest.(check bool) "root rebuilt" true report.Scavenger.root_rebuilt;
+      let r = Fsck.check drive in
+      if has_class "orphan" r.Fsck.findings then
+        Alcotest.failf "the rebuilt root is called an orphan:@.%a" Fsck.pp_report r
+
+let test_unreadable_descriptor_fails_the_scavenge () =
+  (* The descriptor's leader takes writes but its data surface will not
+     read back, so no rebuilt descriptor can mount. A value-verifying
+     scavenge must say so, not return a pack that fails to mount. *)
+  let drive, _, _, _ = build () in
+  let leader = Disk_address.of_index 1 in
+  Fault.make_value_unreadable drive leader;
+  (match Scavenger.scavenge ~verify_values:true drive with
+  | Ok _ -> Alcotest.fail "scavenge returned Ok on a pack that cannot mount"
+  | Error _ -> ());
+  Alcotest.(check bool) "the pack indeed does not mount" true
+    (Result.is_error (Fs.mount drive))
+
 let () =
   Alcotest.run "alto fsck"
     [
@@ -154,5 +198,10 @@ let () =
           ("dangling entry is a violation", `Quick, test_dangling_entry_is_a_violation);
           ("garbled leader label, then scavenge", `Quick, test_garbled_leader_label_then_scavenge);
           ("torn page detected, then scavenge", `Quick, test_torn_page_detected_then_scavenge);
+          ("garbled root leader, then scavenge", `Quick, test_garbled_root_leader_then_scavenge);
+          ("rebuilt root is catalogued", `Quick, test_rebuilt_root_is_catalogued);
+          ( "unreadable descriptor fails the scavenge",
+            `Quick,
+            test_unreadable_descriptor_fails_the_scavenge );
         ] );
     ]

@@ -557,10 +557,43 @@ let test_install_hint_failure_forces_reinstall () =
 
 (* {2 property: random damage never makes the volume unrecoverable} *)
 
+(* One blow aimed at sector [a]: 0 garbles its label, 1 its value, 2
+   kills its data surface, 3 kills the whole sector, and 4 copies the
+   [b]th live sector over it, label and value — the twin a crash
+   mid-move leaves. Returns whether a descriptor sector is now
+   permanently damaged: the one case the scavenger may refuse. *)
+let strike rng drive ~descriptor_top (kind, a, b) =
+  let n = Drive.sector_count drive in
+  let a = a mod n in
+  let addr = Disk_address.of_index a in
+  let on_descriptor = a >= 1 && a <= descriptor_top in
+  match kind with
+  | 0 -> Fault.corrupt_part rng drive addr Sector.Label; false
+  | 1 -> Fault.corrupt_part rng drive addr Sector.Value; false
+  | 2 -> Fault.make_value_unreadable drive addr; on_descriptor
+  | 3 -> Fault.make_bad drive addr; on_descriptor
+  | _ ->
+      let live =
+        List.filter
+          (fun i ->
+            match Label.classify (Drive.peek drive (Disk_address.of_index i)).Sector.label with
+            | Label.Valid _ -> i <> a
+            | Label.Free | Label.Bad | Label.Garbage _ -> false)
+          (List.init n Fun.id)
+      in
+      if live <> [] then begin
+        let src = Drive.peek drive (Disk_address.of_index (List.nth live (b mod List.length live))) in
+        Drive.poke drive addr Sector.Label src.Sector.label;
+        Drive.poke drive addr Sector.Value src.Sector.value
+      end;
+      false
+
 let prop_scavenge_always_recovers =
-  QCheck.Test.make ~name:"scavenge always yields a mountable volume" ~count:20
-    QCheck.(pair (int_bound 1000) (int_bound 80))
-    (fun (seed, per_mille) ->
+  QCheck.Test.make ~name:"scavenge always yields a mountable volume" ~count:100
+    QCheck.(
+      triple (int_bound 1000) (int_bound 80)
+        (small_list (triple (int_bound 4) (int_bound 10_000) (int_bound 10_000))))
+    (fun (seed, per_mille, blows) ->
       let fraction = float_of_int per_mille /. 1000.0 in
       let drive, fs = fresh_fs () in
       let root =
@@ -571,9 +604,19 @@ let prop_scavenge_always_recovers =
       done;
       let rng = Random.State.make [| seed |] in
       ignore (Fault.decay rng drive ~fraction);
-      match Scavenger.scavenge drive with
-      | Error _ -> false
+      let descriptor_top = 1 + Fs.descriptor_page_count fs in
+      let descriptor_dead =
+        List.fold_left (fun dead blow -> strike rng drive ~descriptor_top blow || dead) false blows
+      in
+      match Scavenger.scavenge ~verify_values:true drive with
+      | Error _ -> descriptor_dead
       | Ok (fs', _) -> (
+          (* Whatever the scavenger produces passes the independent
+             checker outright — before anything else touches the pack. *)
+          let report = Alto_fs.Fsck.check drive in
+          if not (Alto_fs.Fsck.clean report) then
+            QCheck.Test.fail_reportf "not clean after scavenge:@.%a" Alto_fs.Fsck.pp_report
+              report;
           (* Invariants: map matches labels, all catalogued files read. *)
           match Directory.open_root fs' with
           | Error _ -> false
