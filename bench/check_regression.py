@@ -41,9 +41,11 @@ UP_IS_BAD = [
 ]
 
 # Counters where shrinkage means an optimisation stopped working.
-# fs.label_cache.hits is 1:1 with disk operations saved (the cache is
-# only consulted where a hit saves a whole operation), so a drop here is
-# the fast path quietly dying. e18.throughput_mrps falling is the file
+# fs.label_cache.hits counts hits in the track cache's label table
+# (Bio's remembered labels; the counter keeps its old name). It is 1:1
+# with disk operations saved (the table is only consulted where a hit
+# saves a whole operation), so a drop here is the fast path quietly
+# dying. e18.throughput_mrps falling is the file
 # server serving fewer requests per simulated second under the same
 # 200-client overload.
 DOWN_IS_BAD = [

@@ -15,7 +15,6 @@ module Reliable = Alto_disk.Reliable
 module Sched = Alto_disk.Sched
 module Fs = Alto_fs.Fs
 module Bio = Alto_fs.Bio
-module Label_cache = Alto_fs.Label_cache
 module File = Alto_fs.File
 module File_id = Alto_fs.File_id
 module Label = Alto_fs.Label
@@ -337,7 +336,7 @@ let e6 () =
   let through_track_cache geometry =
     let drive = Drive.create ~pack_id:1 geometry in
     let clock = Drive.clock drive in
-    let bio = Bio.create ~label_cache:(Label_cache.create drive) drive in
+    let bio = Bio.create drive in
     let (), us =
       timed clock (fun () ->
           for i = 0 to sectors - 1 do

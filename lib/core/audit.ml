@@ -93,7 +93,6 @@ type apply_result =
    in turn, so a repair never writes through [Fs.flush]. *)
 let apply_page fs ~index ~label ~value =
   let drive = Fs.drive fs in
-  let cache = Fs.label_cache fs in
   let addr = Disk_address.of_index index in
   let write () =
     Reliable.run drive addr
@@ -115,7 +114,6 @@ let apply_page fs ~index ~label ~value =
   (match outcome with
   | Applied ->
       Drive.bump_label_generation drive addr;
-      Label_cache.invalidate cache addr;
       Bio.invalidate (Fs.bio fs) addr;
       (* Map hints follow the label's verdict. Quarantine verdicts are
          NOT taken here — the bad-sector table is descriptor content and

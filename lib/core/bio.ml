@@ -18,6 +18,12 @@ let m_evictions = Obs.counter "fs.bio.evictions"
 let m_invalidations = Obs.counter "fs.bio.invalidations"
 let m_write_conflicts = Obs.counter "fs.bio.write_conflicts"
 
+(* The label table's counters, under the [fs.label_cache] names the
+   bench baselines gate: one hit is one label-only disk operation saved. *)
+let m_label_hits = Obs.counter "fs.label_cache.hits"
+let m_label_misses = Obs.counter "fs.label_cache.misses"
+let m_label_invalidations = Obs.counter "fs.label_cache.invalidations"
+
 (* One whole-track buffer. Per relative sector: the label image and
    value observed at fill/install time, the label generation that
    polices their staleness, and the dirty bit for delayed writes. *)
@@ -31,14 +37,18 @@ type slot = {
   mutable used : int;  (* LRU tick of the last hit *)
 }
 
+(* One remembered label: the 7-word image a check or read just verified,
+   and the generation captured at that moment. *)
+type remembered = { words : Word.t array; gen : int; mutable last : int }
+
 type t = {
   drive : Drive.t;
-  label_cache : Label_cache.t;
   spt : int;
   mutable tracks : int;  (* capacity in whole-track buffers; 0 disables *)
   mutable high_water : int;  (* dirty sectors that trigger a full flush *)
   mutable explicit_high_water : bool;
   slots : (int, slot) Hashtbl.t;  (* keyed by track number *)
+  label_table : (int, remembered) Hashtbl.t;  (* keyed by flat sector index *)
   mutable tick : int;
   mutable dirty_count : int;
   mutable on_dirty : unit -> unit;
@@ -46,18 +56,23 @@ type t = {
 
 let default_tracks = 16
 
-let create ?(tracks = default_tracks) ?high_water ~label_cache drive =
+(* A label-only working set (a directory's chain, a hint ladder's walk)
+   spans far more sectors than 16 tracks hold, so remembered labels keep
+   a bound of their own. *)
+let label_capacity = 128
+
+let create ?(tracks = default_tracks) ?high_water drive =
   if tracks < 0 then invalid_arg "Bio.create: negative track count";
   let spt = (Drive.geometry drive).Geometry.sectors_per_track in
   {
     drive;
-    label_cache;
     spt;
     tracks;
     high_water =
       (match high_water with Some h -> h | None -> max 1 (tracks * spt / 2));
     explicit_high_water = high_water <> None;
     slots = Hashtbl.create (max 1 tracks);
+    label_table = Hashtbl.create label_capacity;
     tick = 0;
     dirty_count = 0;
     on_dirty = ignore;
@@ -67,6 +82,7 @@ let drive t = t.drive
 let enabled t = t.tracks > 0
 let set_on_dirty t f = t.on_dirty <- f
 let cached_tracks t = Hashtbl.length t.slots
+let cached_labels t = Hashtbl.length t.label_table
 let dirty_sectors t = t.dirty_count
 
 let cached_sectors t =
@@ -80,6 +96,55 @@ let next_tick t =
 
 let track_of t index = index / t.spt
 let rel_of t index = index mod t.spt
+
+(* {2 Remembered labels} *)
+
+let note_label t addr words =
+  let i = Disk_address.to_index addr in
+  if (not (Hashtbl.mem t.label_table i)) && Hashtbl.length t.label_table >= label_capacity
+  then begin
+    let victim =
+      Hashtbl.fold
+        (fun i e acc ->
+          match acc with
+          | Some (_, best) when best.last <= e.last -> acc
+          | Some _ | None -> Some (i, e))
+        t.label_table None
+    in
+    Option.iter (fun (i, _) -> Hashtbl.remove t.label_table i) victim
+  end;
+  Hashtbl.replace t.label_table i
+    {
+      words = Array.copy words;
+      gen = Drive.label_generation t.drive addr;
+      last = next_tick t;
+    }
+
+(* The remembered label, if its generation is still live. A dead entry
+   (the drive saw a label write, a quarantine or retry evidence since)
+   is dropped and counted. *)
+let remembered t addr =
+  let i = Disk_address.to_index addr in
+  match Hashtbl.find_opt t.label_table i with
+  | Some e when e.gen = Drive.label_generation t.drive addr ->
+      e.last <- next_tick t;
+      Obs.incr m_label_hits;
+      Some e.words
+  | Some _ ->
+      Hashtbl.remove t.label_table i;
+      Obs.incr m_label_invalidations;
+      Obs.incr m_label_misses;
+      None
+  | None ->
+      Obs.incr m_label_misses;
+      None
+
+let forget_label t addr =
+  let i = Disk_address.to_index addr in
+  if Hashtbl.mem t.label_table i then begin
+    Hashtbl.remove t.label_table i;
+    Obs.incr m_label_invalidations
+  end
 
 (* {2 Write-back}
 
@@ -246,6 +311,11 @@ let probe ~count t addr =
 let lookup t addr = probe ~count:true t addr
 let peek t addr = probe ~count:false t addr
 
+let label t addr =
+  match remembered t addr with
+  | Some _ as hit -> hit
+  | None -> Option.map fst (lookup t addr)
+
 let fill t addr =
   if enabled t then begin
     Obs.incr m_misses;
@@ -287,9 +357,9 @@ let fill t addr =
                        from here until the next piece of evidence. *)
                     slot.gens.(rel) <- Drive.label_generation t.drive here;
                     slot.valid.(rel) <- true;
-                    (* A fill reads labels anyway — share them with the
-                       chain-walking paths. *)
-                    Label_cache.note_verified t.label_cache here slot.labels.(rel)
+                    (* A fill reads labels anyway — remember them for
+                       the chain-walking paths. *)
+                    note_label t here slot.labels.(rel)
                 | Error _ -> slot.valid.(rel) <- false)
               wanted)
   end
@@ -323,6 +393,7 @@ let absorb t addr value =
         end
 
 let install t addr ~label ~value =
+  note_label t addr label;
   if enabled t then
     let index = Disk_address.to_index addr in
     match Hashtbl.find_opt t.slots (track_of t index) with
@@ -343,22 +414,31 @@ let install t addr ~label ~value =
         slot.used <- next_tick t
 
 let invalidate t addr =
+  forget_label t addr;
   let index = Disk_address.to_index addr in
   match Hashtbl.find_opt t.slots (track_of t index) with
   | None -> ()
   | Some slot -> drop_sector t slot (rel_of t index)
 
-let clear t =
+let drop_tracks t =
   let sectors = cached_sectors t in
   if sectors > 0 then Obs.add m_invalidations sectors;
   t.dirty_count <- 0;
   Hashtbl.reset t.slots
 
+let clear t =
+  let n = Hashtbl.length t.label_table in
+  if n > 0 then begin
+    Hashtbl.reset t.label_table;
+    Obs.add m_label_invalidations n
+  end;
+  drop_tracks t
+
 let set_tracks (t : t) n =
   if n < 0 then invalid_arg "Bio.set_tracks: negative track count";
   if n < t.tracks then begin
     ignore (flush t);
-    if n = 0 then clear t
+    if n = 0 then drop_tracks t
     else
       while Hashtbl.length t.slots > n do
         evict_lru t

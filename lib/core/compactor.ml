@@ -345,7 +345,7 @@ let compact fs =
           in
           if consecutive then incr files_consecutive;
           let fn = Page.full_name fid ~page:0 ~addr:(Disk_address.of_index leader_index) in
-          match Page.read ~cache:(Fs.label_cache fs) drive fn with
+          match Page.read drive fn with
           | Error _ -> ()
           | Ok (_, value) -> (
               match Leader.of_value value with
@@ -362,7 +362,7 @@ let compact fs =
                       consecutive
                   in
                   (match
-                     Page.write ~cache:(Fs.label_cache fs) drive fn
+                     Page.write drive fn
                        (Leader.to_value leader)
                    with
                   | Ok _ -> incr leaders_updated

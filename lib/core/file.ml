@@ -82,7 +82,6 @@ let cache_links t pn (label : Label.t) =
 (* {2 Resolving page numbers to full names} *)
 
 let drive t = Fs.drive t.fs
-let cache t = Fs.label_cache t.fs
 let bio t = Fs.bio t.fs
 
 (* Walk the link chain from the highest trusted hint at or below
@@ -100,7 +99,7 @@ let chase t ~target =
       if k = target then Ok addr
       else
         let fn = Page.full_name t.fid ~page:k ~addr in
-        match Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) fn with
+        match Page.read_label ~bio:(bio t) (drive t) fn with
         | Ok label -> (
             cache_links t k label;
             match label.Label.next with
@@ -199,7 +198,7 @@ let open_leader fs (fn : Page.full_name) =
   if fn.Page.abs.Page.page <> 0 then
     invalid_arg "File.open_leader: not the name of a leader page";
   let* label, value =
-    match Page.read ~cache:(Fs.label_cache fs) ~bio:(Fs.bio fs) (Fs.drive fs) fn with
+    match Page.read ~bio:(Fs.bio fs) (Fs.drive fs) fn with
     | Ok x -> Ok x
     | Error (Page.Hint_failed _) -> Error Hint_failed
     | Error (Page.Bad_label msg) -> Error (Structure msg)
@@ -225,7 +224,7 @@ let open_leader fs (fn : Page.full_name) =
   let confirm_last pn addr =
     if pn < 1 || Disk_address.is_nil addr then None
     else
-      match Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) (Page.full_name t.fid ~page:pn ~addr) with
+      match Page.read_label ~bio:(bio t) (drive t) (Page.full_name t.fid ~page:pn ~addr) with
       | Ok label when Disk_address.is_nil label.Label.next ->
           Some (pn, label.Label.length)
       | Ok _ | Error _ -> None
@@ -238,7 +237,7 @@ let open_leader fs (fn : Page.full_name) =
     | None ->
         (* Chain walk from the leader to the end. *)
         let rec walk pn addr =
-          match Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) (Page.full_name t.fid ~page:pn ~addr) with
+          match Page.read_label ~bio:(bio t) (drive t) (Page.full_name t.fid ~page:pn ~addr) with
           | Error (Page.Hint_failed _) -> Error Hint_failed
           | Error (Page.Bad_label msg) -> Error (Structure msg)
           | Ok label -> (
@@ -288,7 +287,7 @@ let create_with_fid fs fid ~name =
   in
   let* () =
     match
-      Page.rewrite_label ~cache:(Fs.label_cache fs) ~bio:(Fs.bio fs) (Fs.drive fs)
+      Page.rewrite_label ~bio:(Fs.bio fs) (Fs.drive fs)
         (Page.full_name fid ~page:0 ~addr:leader_addr)
         ~new_label:leader_label ~value:(Leader.to_value leader)
     with
@@ -324,7 +323,7 @@ let read_page t pn =
   if pn < 1 then invalid_arg "File.read_page: data pages are numbered from 1"
   else
     let ( let* ) = Result.bind in
-    let* label, value = with_page t pn (fun fn -> Page.read ~cache:(cache t) ~bio:(bio t) (drive t) fn) in
+    let* label, value = with_page t pn (fun fn -> Page.read ~bio:(bio t) (drive t) fn) in
     cache_links t pn label;
     if pn = t.last_page then t.last_length <- label.Label.length;
     Ok (value, label.Label.length)
@@ -343,20 +342,92 @@ let touch_written t =
 let touch_read t =
   t.leader <- Leader.with_times t.leader ~read_s:(now t) ()
 
-(* One elevator pass of label-checked value reads for pages
-   [first .. first + n - 1] at [addrs]; a refuted or failed request
-   falls back to the ordinary one-page path for that page alone.
+(* {2 Batched reads}
+
+   Label-checked value reads for pages [first .. first + n - 1] at
+   [addrs], as one request set. Pages buffered in the track cache when
+   the batch is built park no request and are served from core when it
+   is collected; a buffer that dies in between costs that page one
+   ordinary synchronous read — the same fallback a refuted request
+   pays. *)
+
+type batch = {
+  file : t;
+  first : int;
+  addrs : Disk_address.t array;
+  labels : Word.t array array;
+  values : Word.t array array;
+  requests : Sched.request array;
+  slots : int array;
+      (* [requests.(j)] covers page index [slots.(j)]. *)
+}
+
+let batch t ~first addrs =
+  let n = Array.length addrs in
+  let values = Array.init n (fun _ -> Array.make Sector.value_words Word.zero) in
+  let labels = Array.init n (fun i -> Label.check_name t.fid ~page:(first + i)) in
+  let slots =
+    let b = bio t in
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      if Bio.peek b addrs.(i) = None then acc := i :: !acc
+    done;
+    Array.of_list !acc
+  in
+  let requests =
+    Array.map
+      (fun i ->
+        Sched.request ~label:labels.(i) ~value:values.(i) addrs.(i)
+          { Drive.op_none with label = Some Drive.Check; value = Some Drive.Read })
+      slots
+  in
+  { file = t; first; addrs; labels; values; requests; slots }
+
+(* Per page: adopt the batched read, or fall back to the one-page path
+   for that page alone. *)
+let collect b outcomes =
+  let t = b.file in
+  let n = Array.length b.addrs in
+  let ( let* ) = Result.bind in
+  let outcome = Array.make n None in
+  Array.iteri (fun j i -> outcome.(i) <- Some outcomes.(j).Sched.result) b.slots;
+  let rec go i acc =
+    if i >= n then Ok (Array.of_list (List.rev acc))
+    else
+      let pn = b.first + i in
+      let fallback () =
+        let* v, plen = read_page t pn in
+        go (i + 1) ((v, plen) :: acc)
+      in
+      match outcome.(i) with
+      | None ->
+          set_hint t pn b.addrs.(i);
+          fallback ()
+      | Some (Error _) -> fallback ()
+      | Some (Ok ()) -> (
+          match Label.of_words b.labels.(i) with
+          | Error _ -> fallback ()
+          | Ok label ->
+              Bio.note_label (bio t) b.addrs.(i) b.labels.(i);
+              set_hint t pn b.addrs.(i);
+              cache_links t pn label;
+              if pn = t.last_page then t.last_length <- label.Label.length;
+              go (i + 1) ((b.values.(i), label.Label.length) :: acc))
+  in
+  go 0 []
+
+(* One elevator pass over pages [first ..] at [addrs].
 
    With the track buffer cache enabled the batching is the cache's:
    each miss pulls its whole track through the shared elevator in one
    fill, the rest of the run is answered from core, and the track stays
-   resident for the next reader. The hand-rolled request batch remains
-   as the disabled-cache path (and the experiments' ablation). *)
+   resident for the next reader. The request batch remains as the
+   disabled-cache path (and the experiments' ablation). *)
 let read_pages_batched t ~first addrs =
   let n = Array.length addrs in
   let ( let* ) = Result.bind in
   if Bio.enabled (bio t) then begin
-    let rec collect i acc =
+    let rec each i acc =
       if i >= n then Ok (Array.of_list (List.rev acc))
       else begin
         let pn = first + i in
@@ -364,42 +435,14 @@ let read_pages_batched t ~first addrs =
            the per-page path spends no operations re-chasing them. *)
         set_hint t pn addrs.(i);
         let* v, plen = read_page t pn in
-        collect (i + 1) ((v, plen) :: acc)
+        each (i + 1) ((v, plen) :: acc)
       end
     in
-    collect 0 []
+    each 0 []
   end
-  else begin
-    let values = Array.init n (fun _ -> Array.make Sector.value_words Word.zero) in
-    let labels = Array.init n (fun i -> Label.check_name t.fid ~page:(first + i)) in
-    let requests =
-      Array.init n (fun i ->
-          Sched.request ~label:labels.(i) ~value:values.(i) addrs.(i)
-            { Drive.op_none with label = Some Drive.Check; value = Some Drive.Read })
-    in
-    let outcomes = Sched.run_batch (drive t) requests in
-    let rec collect i acc =
-      if i >= n then Ok (Array.of_list (List.rev acc))
-      else
-        let pn = first + i in
-        let fallback () =
-          let* v, plen = read_page t pn in
-          collect (i + 1) ((v, plen) :: acc)
-        in
-        match outcomes.(i).Sched.result with
-        | Error _ -> fallback ()
-        | Ok () -> (
-            match Label.of_words labels.(i) with
-            | Error _ -> fallback ()
-            | Ok label ->
-                Label_cache.note_verified (cache t) addrs.(i) labels.(i);
-                set_hint t pn addrs.(i);
-                cache_links t pn label;
-                if pn = t.last_page then t.last_length <- label.Label.length;
-                collect (i + 1) ((values.(i), label.Label.length) :: acc))
-    in
-    collect 0 []
-  end
+  else
+    let b = batch t ~first addrs in
+    collect b (Sched.run_batch (drive t) b.requests)
 
 let read_bytes t ~pos ~len =
   if pos < 0 || len < 0 then invalid_arg "File.read_bytes: negative position or length";
@@ -450,20 +493,9 @@ let read_bytes t ~pos ~len =
    split is exactly {!read_pages_batched} pulled apart at the disk
    wait. *)
 
-type read_plan = {
-  plan_file : t;
-  plan_total : int;
-  plan_labels : Word.t array array;
-  plan_values : Word.t array array;
-  plan_addrs : Disk_address.t array;
-  plan_requests : Sched.request array;
-  plan_slots : int array;
-      (* [plan_requests.(j)] covers page index [plan_slots.(j)]: pages
-         buffered in the track cache at plan time park no request and
-         are served from core at assembly time instead. *)
-}
+type read_plan = { plan_batch : batch; plan_total : int }
 
-let plan_requests p = p.plan_requests
+let plan_requests p = p.plan_batch.requests
 
 let plan_read t =
   let total = byte_length t in
@@ -487,85 +519,18 @@ let plan_read t =
           in
           collect 1 []
     in
-    match addrs with
-    | Error e -> Error e
-    | Ok addrs ->
-        let n = Array.length addrs in
-        let values = Array.init n (fun _ -> Array.make Sector.value_words Word.zero) in
-        let labels = Array.init n (fun i -> Label.check_name t.fid ~page:(1 + i)) in
-        (* Pages whose sectors sit in the track buffer cache right now
-           need no disk request at all; only the misses park on the
-           elevator. A buffer that dies between plan and assembly costs
-           that page one ordinary synchronous read — the same fallback a
-           refuted request pays. *)
-        let slots =
-          let b = bio t in
-          let acc = ref [] in
-          for i = n - 1 downto 0 do
-            if Bio.peek b addrs.(i) = None then acc := i :: !acc
-          done;
-          Array.of_list !acc
-        in
-        let requests =
-          Array.map
-            (fun i ->
-              Sched.request ~label:labels.(i) ~value:values.(i) addrs.(i)
-                { Drive.op_none with label = Some Drive.Check; value = Some Drive.Read })
-            slots
-        in
-        Ok
-          (Some
-             {
-               plan_file = t;
-               plan_total = total;
-               plan_labels = labels;
-               plan_values = values;
-               plan_addrs = addrs;
-               plan_requests = requests;
-               plan_slots = slots;
-             })
+    Result.map
+      (fun addrs -> Some { plan_batch = batch t ~first:1 addrs; plan_total = total })
+      addrs
   end
 
 let finish_read p outcomes =
-  let t = p.plan_file in
-  let n = Array.length p.plan_addrs in
-  if Array.length outcomes <> Array.length p.plan_requests then
+  let t = p.plan_batch.file in
+  let n = Array.length p.plan_batch.addrs in
+  if Array.length outcomes <> Array.length p.plan_batch.requests then
     invalid_arg "File.finish_read: outcome count does not match the plan";
   let ( let* ) = Result.bind in
-  (* Re-index the outcomes by page: pages the plan served from the track
-     buffer cache have no request, and read through the cache now. *)
-  let outcome = Array.make n None in
-  Array.iteri
-    (fun j i -> outcome.(i) <- Some outcomes.(j).Sched.result)
-    p.plan_slots;
-  (* Per page: adopt the batched read, or fall back to the one-page path
-     for that page alone — a refuted label costs one ordinary retry, and
-     a buffer-served page whose track died since plan time costs one
-     ordinary synchronous read. *)
-  let rec collect i acc =
-    if i >= n then Ok (Array.of_list (List.rev acc))
-    else
-      let pn = 1 + i in
-      let fallback () =
-        let* v, plen = read_page t pn in
-        collect (i + 1) ((v, plen) :: acc)
-      in
-      match outcome.(i) with
-      | None ->
-          set_hint t pn p.plan_addrs.(i);
-          fallback ()
-      | Some (Error _) -> fallback ()
-      | Some (Ok ()) -> (
-          match Label.of_words p.plan_labels.(i) with
-          | Error _ -> fallback ()
-          | Ok label ->
-              Label_cache.note_verified (cache t) p.plan_addrs.(i) p.plan_labels.(i);
-              set_hint t pn p.plan_addrs.(i);
-              cache_links t pn label;
-              if pn = t.last_page then t.last_length <- label.Label.length;
-              collect (i + 1) ((p.plan_values.(i), label.Label.length) :: acc))
-  in
-  let* pages = collect 0 [] in
+  let* pages = collect p.plan_batch outcomes in
   let dst = Bytes.create p.plan_total in
   let rec assemble pn dst_off =
     if dst_off >= p.plan_total then Ok (Bytes.to_string dst)
@@ -604,13 +569,13 @@ let update_leader_last t =
 let rewrite_page t pn ~length ~next value =
   with_page t pn (fun fn ->
       let ( let* ) = Result.bind in
-      let* old = Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) fn in
+      let* old = Page.read_label ~bio:(bio t) (drive t) fn in
       let new_label =
         Label.make ~fid:t.fid ~page:pn ~length
           ~next:(Option.value next ~default:old.Label.next)
           ~prev:old.Label.prev
       in
-      Page.rewrite_label ~cache:(cache t) ~bio:(bio t) (drive t) fn ~new_label ~value)
+      Page.rewrite_label ~bio:(bio t) (drive t) fn ~new_label ~value)
 
 let append_fresh_page t value ~len =
   let ( let* ) = Result.bind in
@@ -647,17 +612,17 @@ let write_pages_batched t ~first addrs values =
     else
       match outcomes.(i).Sched.result with
       | Ok () ->
-          Label_cache.note_verified (cache t) addrs.(i) labels.(i);
           (* A value write moves no label generation, so a buffered copy
              of this sector would survive it stale — record the written
-             value (supersedes any delayed write the buffer held). *)
+             value (supersedes any delayed write the buffer held) beside
+             the verified label. *)
           Bio.install (bio t) addrs.(i) ~label:labels.(i) ~value:values.(i);
           set_hint t (first + i) addrs.(i);
           finish (i + 1)
       | Error _ ->
           let* (_ : Label.t) =
             with_page t (first + i) (fun fn ->
-                Page.write ~cache:(cache t) ~bio:(bio t) (drive t) fn values.(i))
+                Page.write ~bio:(bio t) (drive t) fn values.(i))
           in
           finish (i + 1)
   in
@@ -721,7 +686,7 @@ let write_bytes t ~pos s =
            swap stream 64K words at full track speed. *)
         let value = Array.make Sector.value_words Word.zero in
         patch_page value ~page_off:0 s ~s_off ~len:here;
-        let* (_ : Label.t) = with_page t pn (fun fn -> Page.write ~cache:(cache t) ~bio:(bio t) (drive t) fn value) in
+        let* (_ : Label.t) = with_page t pn (fun fn -> Page.write ~bio:(bio t) (drive t) fn value) in
         cached := Some (pn, value);
         put (pn + 1) 0 (s_off + here)
       end
@@ -731,7 +696,7 @@ let write_bytes t ~pos s =
         let* () =
           if pn < t.last_page then
             Result.map (fun (_ : Label.t) -> ())
-              (with_page t pn (fun fn -> Page.write ~cache:(cache t) ~bio:(bio t) (drive t) fn value))
+              (with_page t pn (fun fn -> Page.write ~bio:(bio t) (drive t) fn value))
           else begin
             let new_plen = max plen (page_off + here) in
             if new_plen <> plen then begin
@@ -741,7 +706,7 @@ let write_bytes t ~pos s =
             end
             else
               Result.map (fun (_ : Label.t) -> ())
-                (with_page t pn (fun fn -> Page.write ~cache:(cache t) ~bio:(bio t) (drive t) fn value))
+                (with_page t pn (fun fn -> Page.write ~bio:(bio t) (drive t) fn value))
           end
         in
         cached := Some (pn, value);
@@ -759,7 +724,7 @@ let write_bytes t ~pos s =
           match !cached with
           | Some (p, v) when p = old_last -> Ok v
           | Some _ | None ->
-              let* _, v = with_page t old_last (fun fn -> Page.read ~cache:(cache t) ~bio:(bio t) (drive t) fn) in
+              let* _, v = with_page t old_last (fun fn -> Page.read ~bio:(bio t) (drive t) fn) in
               Ok v
         in
         let* () =
@@ -804,12 +769,12 @@ let truncate t ~len =
   let* () =
     with_page t new_last (fun fn ->
         let ( let* ) = Result.bind in
-        let* old = Page.read_label ~cache:(cache t) ~bio:(bio t) (drive t) fn in
+        let* old = Page.read_label ~bio:(bio t) (drive t) fn in
         let new_label =
           Label.make ~fid:t.fid ~page:new_last ~length:new_plen
             ~next:Disk_address.nil ~prev:old.Label.prev
         in
-        Page.rewrite_label ~cache:(cache t) ~bio:(bio t) (drive t) fn ~new_label ~value)
+        Page.rewrite_label ~bio:(bio t) (drive t) fn ~new_label ~value)
   in
   t.last_page <- new_last;
   t.last_length <- new_plen;
@@ -862,4 +827,4 @@ let flush_leader t =
   update_leader_last t;
   Result.map
     (fun (_ : Label.t) -> ())
-    (with_page t 0 (fun fn -> Page.write ~cache:(cache t) ~bio:(bio t) (drive t) fn (Leader.to_value t.leader)))
+    (with_page t 0 (fun fn -> Page.write ~bio:(bio t) (drive t) fn (Leader.to_value t.leader)))

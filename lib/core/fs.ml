@@ -66,8 +66,7 @@ type t = {
       (** Where the verify sweep will resume, persisted with the
           descriptor so a crash recovers from the sweep's frontier
           instead of rescanning the whole pack. *)
-  cache : Label_cache.t;  (** Verified labels, shared by every layer above. *)
-  bio : Bio.t;  (** The track buffer cache, shared by every layer above. *)
+  bio : Bio.t;  (** The cache (labels and tracks), shared by every layer above. *)
 }
 
 let boot_address = Disk_address.of_index 0
@@ -96,7 +95,6 @@ let map_offset = 19
 let max_bad_sectors = 64
 
 let drive t = t.drive
-let label_cache t = t.cache
 let bio t = t.bio
 let geometry t = t.shape
 let clock t = Drive.clock t.drive
@@ -159,11 +157,10 @@ let quarantine t addr =
   let i = Disk_address.to_index addr in
   note_mutation t;
   t.busy.(i) <- true;
-  (* Eager, though generation checking would catch it lazily: a
-     quarantined sector's label must never be served from core — and
-     neither may a buffered track image of it, dirty or not (flushing a
-     delayed write to a sector just declared bad would be absurd). *)
-  Label_cache.invalidate t.cache addr;
+  (* Eager, though generation checking would catch it lazily: neither a
+     quarantined sector's label nor a buffered image of it, dirty or not,
+     may be served from core (flushing a delayed write to a sector just
+     declared bad would be absurd). *)
   Bio.invalidate t.bio addr;
   if not (List.mem i t.bad_table) then begin
     if List.length t.bad_table >= max_bad_sectors then begin
@@ -194,7 +191,6 @@ let adopt_spilled t addr =
      handle, so it enters the spill list without re-counting. *)
   let i = Disk_address.to_index addr in
   t.busy.(i) <- true;
-  Label_cache.invalidate t.cache addr;
   Bio.invalidate t.bio addr;
   if not (List.mem i t.bad_table) && not (List.mem i t.spill) then
     t.spill <- t.spill @ [ i ]
@@ -528,11 +524,11 @@ let flush t =
       let len = min Sector.value_words (Array.length words - offset) in
       Array.blit words offset value 0 len;
       let fn = descriptor_page_name t pn in
-      match Page.write ~cache:t.cache t.drive fn value with
+      match Page.write t.drive fn value with
       | Error e -> Error (Page_error e)
       | Ok _ ->
           (* The descriptor writes through (its durability is the whole
-             point); any buffered track image of the sector is stale. *)
+             point); anything the cache held for the sector is stale. *)
           Bio.invalidate t.bio fn.Page.addr;
           write (pn + 1)
   in
@@ -575,19 +571,17 @@ let place_descriptor_file t =
       ~last_page:pages ~last_addr:(addr pages) ~maybe_consecutive:true ()
   in
   match
-    Page.write ~cache:t.cache t.drive (descriptor_page_name t 0)
+    Page.write t.drive (descriptor_page_name t 0)
       (Leader.to_value leader)
   with
   | Error e -> Error (Page_error e)
   | Ok _ -> flush t
 
 let make_handle drive =
-  let cache = Label_cache.create drive in
-  let bio = Bio.create ~label_cache:cache drive in
+  let bio = Bio.create drive in
   let t =
     {
       drive;
-      cache;
       bio;
       shape = Drive.geometry drive;
       busy = Array.make (Drive.sector_count drive) false;
@@ -687,7 +681,7 @@ let mount drive =
   let* leader_label, leader_value =
     Result.map_error
       (fun e -> Format.asprintf "descriptor leader unreadable: %a" Page.pp_error e)
-      (Page.read ~cache:t.cache drive (descriptor_page_name t 0))
+      (Page.read drive (descriptor_page_name t 0))
   in
   let* leader = Leader.of_value leader_value in
   let pages = leader.Leader.last_page in
@@ -697,7 +691,7 @@ let mount drive =
       match Page.next_name fn label with
       | None -> Error "descriptor file ends early"
       | Some next_fn -> (
-          match Page.read ~cache:t.cache drive next_fn with
+          match Page.read drive next_fn with
           | Error e ->
               Error (Format.asprintf "descriptor page %d unreadable: %a" pn Page.pp_error e)
           | Ok (next_label, value) ->

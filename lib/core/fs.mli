@@ -70,18 +70,14 @@ val mount : Drive.t -> (t, string) result
 
 val drive : t -> Drive.t
 
-val label_cache : t -> Label_cache.t
-(** The volume's verified-label cache: one per handle, primed and
-    consulted by every {!Page} access made on the volume's behalf.
-    {!quarantine} evicts eagerly; everything else relies on the drive's
-    generation counters. *)
-
 val bio : t -> Bio.t
-(** The volume's track buffer cache: one per handle, consulted and
-    primed by {!Page} reads and writes made on the volume's behalf.
-    {!flush} writes its delayed values back before the descriptor;
-    {!quarantine} evicts eagerly. Readers that must see true pack state
-    (audit digests, raw transfers) flush it first. *)
+(** The volume's cache — remembered labels and track buffers: one per
+    handle, consulted and primed by {!Page} reads and writes made on the
+    volume's behalf. {!flush} writes its delayed values back before the
+    descriptor; {!quarantine} evicts eagerly; everything else relies on
+    the drive's generation counters. Readers that must see true pack
+    state (the descriptor, audit digests, the hint ladder, raw
+    transfers) flush it first and bypass it. *)
 
 val geometry : t -> Geometry.t
 val clock : t -> Alto_machine.Sim_clock.t
@@ -162,7 +158,7 @@ val spilled_table : t -> Disk_address.t list
 
 val adopt_spilled : t -> Disk_address.t -> unit
 (** Re-enter one spill-file entry read back at mount: busy forever,
-    label cache evicted, no overflow counted. *)
+    cached label and buffer evicted, no overflow counted. *)
 
 val flush : t -> (unit, error) result
 (** Write map, serial counter, shape and root name back into the

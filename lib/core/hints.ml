@@ -66,11 +66,16 @@ let read_via_file fs file page =
   match File.page_name file page with
   | Error _ -> None
   | Ok fn -> (
-      match Page.read ~cache:(Fs.label_cache fs) (Fs.drive fs) fn with
+      match Page.read (Fs.drive fs) fn with
       | Ok (label, value) -> Some (label, value, fn)
       | Error (Page.Hint_failed _ | Page.Bad_label _) -> None)
 
 let read_page fs ~directory req =
+  (* The rungs read the platter (the scavenger's raw pack above all), so
+     the volume is settled first: acknowledged delayed writes still in
+     the track buffers are pushed out, or a lookup could return page
+     contents older than what the caller already wrote. *)
+  ignore (Bio.flush (Fs.bio fs) : Bio.flush_report);
   let attempts = ref [] in
   let clock = Fs.clock fs in
   let t_start = Sim_clock.now_us clock in
@@ -94,7 +99,7 @@ let read_page fs ~directory req =
     match (req.req_fid, req.req_page_hint) with
     | Some fid, Some addr -> (
         let fn = Page.full_name fid ~page:req.req_page ~addr in
-        match Page.read ~cache:(Fs.label_cache fs) (Fs.drive fs) fn with
+        match Page.read (Fs.drive fs) fn with
         | Ok (label, value) -> Some (label, value, fn)
         | Error (Page.Hint_failed _ | Page.Bad_label _) -> None)
     | _, (Some _ | None) -> None
@@ -155,10 +160,7 @@ let read_page fs ~directory req =
               | Some hit -> finish fs hit
               | None -> (
                   (* Rung 5: scavenge, then retry the directory rungs on
-                     the rebuilt volume. The scavenger reads the raw
-                     pack, so the volume must be settled first — any
-                     delayed track-buffer writes pushed to the platter. *)
-                  ignore (Bio.flush (Fs.bio fs) : Bio.flush_report);
+                     the rebuilt volume. *)
                   let t0 = Sim_clock.now_us clock in
                   match Scavenger.scavenge (Fs.drive fs) with
                   | Error reason ->

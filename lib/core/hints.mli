@@ -58,4 +58,7 @@ type failure = {
 val read_page : Fs.t -> directory:File.t -> request -> (success, failure) result
 (** Climb the ladder until the page is in hand. [directory] is where the
     FV and string-name rungs look (after a scavenge, the corresponding
-    directory on the rebuilt volume — located by name — is used). *)
+    directory on the rebuilt volume — located by name — is used). The
+    rungs read the platter, so the volume's delayed writes are flushed
+    first ({!Bio.flush}): a lookup never returns page contents older
+    than a write already acknowledged. *)

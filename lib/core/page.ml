@@ -49,11 +49,13 @@ let hint_failed e =
       ());
   Error (Hint_failed e)
 
-(* Remember a label image the operation that just completed verified. *)
-let note cache addr words =
-  match cache with
-  | None -> ()
-  | Some c -> Label_cache.note_verified c addr words
+(* Record what the operation that just completed verified: the label
+   alone, or the label and value. Without a cache (raw readers) there is
+   nothing to record. *)
+let note bio addr words = Option.iter (fun b -> Bio.note_label b addr words) bio
+
+let install bio addr ~label ~value =
+  Option.iter (fun b -> Bio.install b addr ~label ~value) bio
 
 (* Replay the controller's check action against a cached label image:
    zero memory words learn the cached word, non-zero words must match.
@@ -82,7 +84,7 @@ let cached_check pattern cached =
   in
   scan 0
 
-let read ?cache ?bio drive fn =
+let read ?bio drive fn =
   Prof.span (Drive.clock drive) "page.read" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
   let value = Array.make Sector.value_words Word.zero in
@@ -96,7 +98,7 @@ let read ?cache ?bio drive fn =
     | Error e -> hint_failed e
     | Ok () -> (
         Array.blit cached_value 0 value 0 Sector.value_words;
-        note cache fn.addr label_buf;
+        note bio fn.addr label_buf;
         Prof.note "page.bio_hit";
         match decode_checked_label label_buf with
         | Ok label -> Ok (label, value)
@@ -110,10 +112,7 @@ let read ?cache ?bio drive fn =
     with
     | Error e -> hint_failed e
     | Ok () -> (
-        note cache fn.addr label_buf;
-        (match bio with
-        | Some b -> Bio.install b fn.addr ~label:label_buf ~value
-        | None -> ());
+        install bio fn.addr ~label:label_buf ~value;
         match decode_checked_label label_buf with
         | Ok label -> Ok (label, value)
         | Error e -> Error e)
@@ -133,22 +132,12 @@ let read ?cache ?bio drive fn =
                  climbs the usual ladder. *)
               direct ()))
 
-(* A second source of cached label images: a buffered track sector
-   knows its label too. Never fills — a label-only access costs one
-   operation, a track fill costs twelve. *)
-let bio_label bio addr =
-  Option.bind bio (fun b ->
-      Option.map (fun (label, _) -> label) (Bio.lookup b addr))
+let probe_label bio addr = Option.bind bio (fun b -> Bio.label b addr)
 
-let read_label ?cache ?bio drive fn =
+let read_label ?bio drive fn =
   Prof.span (Drive.clock drive) "page.read_label" @@ fun () ->
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
-  let cached =
-    match Option.bind cache (fun c -> Label_cache.lookup c fn.addr) with
-    | Some _ as hit -> hit
-    | None -> bio_label bio fn.addr
-  in
-  match cached with
+  match probe_label bio fn.addr with
   | Some cached -> (
       (* A label-only access answered from core: the one disk operation
          this function exists to issue is skipped entirely. *)
@@ -157,7 +146,7 @@ let read_label ?cache ?bio drive fn =
       | Error e -> hint_failed e
       | Ok () -> decode_checked_label label_buf)
   | None -> (
-      if cache <> None then Prof.note "page.cache_miss";
+      if bio <> None then Prof.note "page.cache_miss";
       match
         Reliable.run drive fn.addr
           { Drive.op_none with label = Some Drive.Check }
@@ -165,91 +154,64 @@ let read_label ?cache ?bio drive fn =
       with
       | Error e -> hint_failed e
       | Ok () ->
-          note cache fn.addr label_buf;
+          note bio fn.addr label_buf;
           decode_checked_label label_buf)
 
 let check_value_size value =
   if Array.length value <> Sector.value_words then
     invalid_arg "Page: value must be 256 words"
 
-let write ?(check = true) ?cache ?bio drive fn value =
+let write ?bio drive fn value =
   Prof.span (Drive.clock drive) "page.write" @@ fun () ->
   check_value_size value;
-  if check then begin
-    let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
-    (* Delayed write-back: when the sector's track is buffered and
-       generation-live, the buffered label image is platter truth, so
-       the name check can replay against it and the value can sit in
-       the buffer until the next coalesced flush — no disk operation at
-       all. A check refusal here is a real refusal: the platter's label
-       does not carry the asserted name. *)
-    let absorbed =
-      match bio with
-      | None -> None
-      | Some b -> (
-          match Bio.lookup b fn.addr with
-          | None -> None
-          | Some (cached_label, _) -> (
-              match cached_check label_buf cached_label with
-              | Error e -> Some (hint_failed e)
-              | Ok () ->
-                  if Bio.absorb b fn.addr value then begin
-                    note cache fn.addr label_buf;
-                    Prof.note "page.bio_hit";
-                    Some (decode_checked_label label_buf)
-                  end
-                  else None))
-    in
-    match absorbed with
-    | Some result -> result
-    | None -> (
-        match
-          Reliable.run drive fn.addr
-            { Drive.op_none with label = Some Drive.Check; value = Some Drive.Write }
-            ~label:label_buf ~value ()
-        with
-        | Error e -> hint_failed e
-        | Ok () ->
-            note cache fn.addr label_buf;
-            (match bio with
-            | Some b -> Bio.install b fn.addr ~label:label_buf ~value
-            | None -> ());
-            decode_checked_label label_buf)
-  end
-  else begin
-    (* The unchecked write bypasses the name discipline the buffer
-       relies on; whatever the buffer believed about this sector —
-       a delayed write included — is superseded. *)
-    (match bio with Some b -> Bio.invalidate b fn.addr | None -> ());
-    match
-      Reliable.run drive fn.addr
-        { Drive.op_none with value = Some Drive.Write }
-        ~value ()
-    with
-    | Error e -> hint_failed e
-    | Ok () ->
-        (* Without the check we can only trust the caller's absolute name. *)
-        Ok
-          (Label.make ~fid:fn.abs.fid ~page:fn.abs.page ~length:0
-             ~next:Disk_address.nil ~prev:Disk_address.nil)
-  end
+  let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
+  (* Delayed write-back: when the sector's track is buffered and
+     generation-live, the buffered label image is platter truth, so the
+     name check can replay against it and the value can sit in the
+     buffer until the next coalesced flush — no disk operation at all. A
+     check refusal here is a real refusal: the platter's label does not
+     carry the asserted name. *)
+  let absorbed =
+    match bio with
+    | None -> None
+    | Some b -> (
+        match Bio.lookup b fn.addr with
+        | None -> None
+        | Some (cached_label, _) -> (
+            match cached_check label_buf cached_label with
+            | Error e -> Some (hint_failed e)
+            | Ok () ->
+                if Bio.absorb b fn.addr value then begin
+                  Bio.note_label b fn.addr label_buf;
+                  Prof.note "page.bio_hit";
+                  Some (decode_checked_label label_buf)
+                end
+                else None))
+  in
+  match absorbed with
+  | Some result -> result
+  | None -> (
+      match
+        Reliable.run drive fn.addr
+          { Drive.op_none with label = Some Drive.Check; value = Some Drive.Write }
+          ~label:label_buf ~value ()
+      with
+      | Error e -> hint_failed e
+      | Ok () ->
+          install bio fn.addr ~label:label_buf ~value;
+          decode_checked_label label_buf)
 
-let rewrite_label ?cache ?bio drive fn ~new_label ~value =
+let rewrite_label ?bio drive fn ~new_label ~value =
   Prof.span (Drive.clock drive) "page.rewrite_label" @@ fun () ->
   check_value_size value;
   let label_buf = Label.check_name fn.abs.fid ~page:fn.abs.page in
   let checked =
-    let cached =
-      match Option.bind cache (fun c -> Label_cache.lookup c fn.addr) with
-      | Some _ as hit -> hit
-      | None -> bio_label bio fn.addr
-    in
-    match cached with
+    match probe_label bio fn.addr with
     | Some cached ->
         Prof.note "page.cache_hit";
         cached_check label_buf cached
     | None ->
-        if cache <> None then Prof.note "page.cache_miss";
+        if bio <> None then Prof.note "page.cache_miss";
         Reliable.run drive fn.addr
           { Drive.op_none with label = Some Drive.Check }
           ~label:label_buf ()
@@ -265,14 +227,11 @@ let rewrite_label ?cache ?bio drive fn ~new_label ~value =
       with
       | Error e -> hint_failed e
       | Ok () ->
-          (* The write is its own verification; the generation captured
-             now postdates the write's bump, so the entry is live. *)
-          note cache fn.addr new_words;
-          (* The label write killed the buffered generation; re-install
-             the fresh image (and supersede any delayed value write). *)
-          (match bio with
-          | Some b -> Bio.install b fn.addr ~label:new_words ~value
-          | None -> ());
+          (* The write is its own verification: the generation captured
+             now postdates the write's bump, so the remembered label and
+             the re-installed buffer image (superseding any delayed value
+             write) are live. *)
+          install bio fn.addr ~label:new_words ~value;
           Ok ())
 
 let retire drive addr =

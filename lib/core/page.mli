@@ -33,57 +33,38 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val read :
-  ?cache:Label_cache.t ->
-  ?bio:Bio.t ->
-  Drive.t ->
-  full_name ->
-  (Label.t * Word.t array, error) result
+val read : ?bio:Bio.t -> Drive.t -> full_name -> (Label.t * Word.t array, error) result
 (** One disk operation: check the label against the absolute name, read
     the value. The returned label is complete (length and links), learned
-    through the check's wildcards. The value transfer means the label
-    check rides free, so [cache] is only {e primed} here, never
-    consulted — a hit could not save an operation. With [bio] the value
-    {e can} come from memory: a buffered, generation-live track sector
-    answers without touching the disk (the check replays against the
-    buffered label image, mismatch verdicts included), and a miss fills
-    the whole track in one elevator batch before serving. *)
+    through the check's wildcards. With [bio] the value can come from
+    memory: a buffered, generation-live track sector answers without
+    touching the disk (the check replays against the buffered label
+    image, mismatch verdicts included), a miss fills the whole track in
+    one elevator batch before serving, and the verified label is
+    remembered. Without [bio] the read goes to the platter and records
+    nothing — the raw-reader path. *)
 
-val read_label :
-  ?cache:Label_cache.t -> ?bio:Bio.t -> Drive.t -> full_name -> (Label.t, error) result
-(** As {!read} but without transferring the value. With [cache], a valid
-    cached image answers without any disk operation at all — including
-    reproducing a {!Drive.Check_mismatch} verdict when the cached label
-    refutes the caller's absolute name; this is where the hint ladder's
-    chain walks get cheap. [bio] stands in as a second source of label
-    images (a buffered track knows all twelve) but never fills on a
-    label-only access — a fill would cost more than the one operation it
-    saves. *)
+val read_label : ?bio:Bio.t -> Drive.t -> full_name -> (Label.t, error) result
+(** As {!read} but without transferring the value. With [bio], a label
+    the cache holds ({!Bio.label}: remembered, or on a buffered track)
+    answers without any disk operation at all — including reproducing a
+    {!Drive.Check_mismatch} verdict when it refutes the caller's absolute
+    name; this is where the hint ladder's chain walks get cheap. A
+    label-only access never fills a track: a fill would cost more than
+    the one operation it saves. *)
 
-val write :
-  ?check:bool ->
-  ?cache:Label_cache.t ->
-  ?bio:Bio.t ->
-  Drive.t ->
-  full_name ->
-  Word.t array ->
-  (Label.t, error) result
-(** One disk operation: check the label (unless [check:false] — the
-    ablation mode of experiment E3), write the 256-word value. Does not
+val write : ?bio:Bio.t -> Drive.t -> full_name -> Word.t array -> (Label.t, error) result
+(** One disk operation: check the label, write the 256-word value. Does not
     change the label, so the page keeps its length; use {!rewrite_label}
-    to change L or the links. A checked write primes [cache] (the value
-    write leaves the label untouched, so the entry stays live). Raises
-    [Invalid_argument] on a wrong-sized value. With [bio], a checked
-    write whose sector is buffered and generation-live is {e absorbed}:
+    to change L or the links. Raises [Invalid_argument] on a wrong-sized
+    value. With [bio], the write remembers the verified label, and
+    one whose sector is buffered and generation-live is {e absorbed}:
     the name check replays against the buffered label image and the
     value is delayed in the buffer until the next coalesced flush — zero
     disk operations now, one amortized elevator write later. A write
-    that cannot be absorbed goes through as before (an unchecked write
-    also sheds any buffered copy — it bypassed the name discipline the
-    buffer relies on). *)
+    that cannot be absorbed goes through as before. *)
 
 val rewrite_label :
-  ?cache:Label_cache.t ->
   ?bio:Bio.t ->
   Drive.t ->
   full_name ->
@@ -94,11 +75,10 @@ val rewrite_label :
     the old label (and read the current value into [value]'s zeroed
     buffer if desired), then write the new label and value. Costs about a
     revolution — the price the paper quotes for changing a file's
-    length. A valid [cache] entry stands in for the first operation,
-    halving that price; the new label is cached after the write. A
-    buffered track image ([bio]) also stands in for the check, and the
-    written label and value are re-installed clean — superseding any
-    delayed value write the buffer held for the sector. *)
+    length. A label the cache holds ([bio]) stands in for the first
+    operation, halving that price; the written label and value are then
+    re-installed — superseding any delayed value write the buffer held
+    for the sector. *)
 
 val retire : Drive.t -> Disk_address.t -> unit
 (** Write the bad-page marker through a dying sector, best effort: the

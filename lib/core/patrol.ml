@@ -128,9 +128,9 @@ let salvage_value drive addr =
 let fix_neighbour t tally ~fid ~page ~addr ~patch =
   if Disk_address.is_nil addr || page < 0 then ()
   else
-    let drive = Fs.drive t.fs and cache = Fs.label_cache t.fs in
+    let drive = Fs.drive t.fs in
     let fn = Page.full_name fid ~page ~addr in
-    match Page.read ~cache drive fn with
+    match Page.read drive fn with
     | Error _ -> ()
     | Ok (lab, value) ->
         let patched = patch lab in
@@ -139,7 +139,7 @@ let fix_neighbour t tally ~fid ~page ~addr ~patch =
           | Ok a -> Some a
           | Error _ -> None
         in
-        (match Page.rewrite_label ~cache drive fn ~new_label:patched ~value with
+        (match Page.rewrite_label drive fn ~new_label:patched ~value with
         | Ok () ->
             tally.c_links <- tally.c_links + 1;
             Obs.incr m_links_repaired
@@ -176,7 +176,7 @@ let fix_catalogue t dst fid =
    catalogue, then retire and quarantine the old sector. Returns the new
    address, or [None] when the disk is full and the page must limp on. *)
 let relocate t tally ~src ~(lab : Label.t) ~value =
-  let drive = Fs.drive t.fs and cache = Fs.label_cache t.fs in
+  let drive = Fs.drive t.fs in
   match Fs.allocate_page t.fs ~label:(fun _ -> lab) ~value with
   | Error _ -> None
   | Ok dst ->
@@ -188,17 +188,13 @@ let relocate t tally ~src ~(lab : Label.t) ~value =
       if lab.Label.page = 0 then fix_catalogue t dst fid;
       Page.retire drive src;
       Fs.quarantine t.fs src;
-      (* Both ends of the move shed any cached label, explicitly: a
-         cached image must never resurrect the page at its old address,
-         nor mask the fresh label at the new one. *)
+      (* Both ends of the move shed anything cached, explicitly: a
+         cached label must never resurrect the page at its old address,
+         nor mask the fresh label at the new one; a delayed write to the
+         old address must not be flushed over the retired sector, and
+         the fresh page must be re-read, not remembered. *)
       Drive.bump_label_generation drive src;
       Drive.bump_label_generation drive dst;
-      Label_cache.invalidate cache src;
-      Label_cache.invalidate cache dst;
-      (* The track buffer cache holds whole-sector images under the same
-         generation discipline; shed both ends eagerly too (a delayed
-         write to the old address must not be flushed over the retired
-         sector, and the fresh page must be re-read, not remembered). *)
       Bio.invalidate (Fs.bio t.fs) src;
       Bio.invalidate (Fs.bio t.fs) dst;
       tally.c_relocated <- tally.c_relocated + 1;

@@ -10,8 +10,8 @@
     to find sectors that still answer but are starting to fail. A live
     page on such a sector is {e relocated}: copied to a freshly allocated
     sector, its neighbours' link hints and its catalogue entry
-    re-pointed, the old sector retired and quarantined, and the verified
-    label cache told about both ends of the move. The data survives the
+    re-pointed, the old sector retired and quarantined, and the cache
+    ({!Bio}) told about both ends of the move. The data survives the
     sector's eventual death instead of being salvaged after it.
 
     The same sweep doubles as crash recovery. The sweep cursor is

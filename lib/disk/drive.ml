@@ -140,7 +140,7 @@ type t = {
      previously verified copy of the label stale — a label write (in-band
      or poke), the sector turning bad, or any soft-error trip (retry
      evidence: the surface is suspect, cached knowledge about it is
-     not). The label cache upstairs validates its entries against this
+     not). The cache upstairs (Bio) validates its entries against this
      counter, so invalidation needs no callback plumbing. *)
   label_gen : int array;
 }

@@ -116,8 +116,9 @@ val label_generation : t -> Disk_address.t -> int
     {!run} or out-of-band {!poke}), the sector being marked bad, a
     marginal sector degrading, and every transient trip (retry evidence —
     if the surface just misread, cached knowledge about it is suspect).
-    {!Label_cache} entries store the generation at verify time and are
-    dead the moment it moves. Raises [Invalid_argument] on an address
+    The file system's cache ([Alto_fs.Bio]) stores the generation with
+    every remembered label and buffered sector at verify time, and each
+    entry is dead the moment it moves. Raises [Invalid_argument] on an address
     beyond the pack. *)
 
 val bump_label_generation : t -> Disk_address.t -> unit

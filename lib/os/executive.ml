@@ -304,8 +304,8 @@ let cmd_trace system n =
         else say system "%8dus %s %s" e.Obs.ts_us e.Obs.name fields)
       tail
 
-(* Show the disk fast path at a glance: the verified-label cache, the
-   track buffer cache and the elevator scheduler, plus what the volume
+(* Show the disk fast path at a glance: the cache's label table and
+   track buffers and the elevator scheduler, plus what the volume
    currently holds in core. *)
 let cmd_cache system =
   let module Obs = Alto_obs.Obs in
@@ -334,9 +334,8 @@ let cmd_cache system =
       "disk.sched.sweeps";
       "disk.sched.merged_batches";
     ];
-  say system "%-30s %d" "cached labels"
-    (Alto_fs.Label_cache.length (Fs.label_cache (System.fs system)));
   let bio = Fs.bio (System.fs system) in
+  say system "%-30s %d" "cached labels" (Alto_fs.Bio.cached_labels bio);
   say system "%-30s %d" "buffered tracks" (Alto_fs.Bio.cached_tracks bio);
   say system "%-30s %d" "buffered sectors" (Alto_fs.Bio.cached_sectors bio);
   say system "%-30s %d" "dirty sectors" (Alto_fs.Bio.dirty_sectors bio)

@@ -11,8 +11,8 @@
 
     Built-in commands: [ls], [type f], [put f text…], [delete f],
     [rename old new], [copy src dst], [dump codefile], [scavenge], [compact], [levels], [junta n],
-    [counterjunta], [cache] (label-cache, track-buffer-cache and
-    elevator-scheduler statistics), [sync] (flush delayed track-buffer
+    [counterjunta], [cache] (statistics of the cache's label table and
+    track buffers, and of the elevator scheduler), [sync] (flush delayed track-buffer
     writes and report what was coalesced), [health] (patrol progress,
     bad-sector census and the
     volume dirty flag), [trace [n]], [run prog], [compile src dst] (the BCPL compiler,

@@ -137,7 +137,6 @@ let in_load cpu file ~message =
          whole address space. *)
       ignore (Alto_fs.Bio.flush (Fs.bio (File.fs file)));
       Alto_fs.Bio.clear (Fs.bio (File.fs file));
-      Alto_fs.Label_cache.clear (Fs.label_cache (File.fs file));
       Ok ()
     end
   end

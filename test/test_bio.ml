@@ -1,9 +1,9 @@
-(* The track buffer cache (bio): whole-track fills, absorbed delayed
-   writes, generation-policed coherence, and the two properties the
-   design hangs on — a crash with dirty buffers loses at most recent
-   page contents (never structure, never a settled page), and a
-   workload replayed with the cache disabled leaves a byte-identical
-   pack. *)
+(* The cache (bio): whole-track fills, absorbed delayed writes, and the
+   two properties the design hangs on — a crash with dirty buffers loses
+   at most recent page contents (never structure, never a settled page),
+   and a workload replayed with the cache disabled leaves a
+   byte-identical pack. The remembered-label table has its own runner,
+   test_bio_labels.ml. *)
 
 module Word = Alto_machine.Word
 module Drive = Alto_disk.Drive
@@ -13,7 +13,6 @@ module Disk_address = Alto_disk.Disk_address
 module Obs = Alto_obs.Obs
 module Fs = Alto_fs.Fs
 module Bio = Alto_fs.Bio
-module Label_cache = Alto_fs.Label_cache
 module File = Alto_fs.File
 module Directory = Alto_fs.Directory
 module Scavenger = Alto_fs.Scavenger
@@ -31,7 +30,7 @@ let ok pp = function
    tests can watch single sectors. *)
 let raw_bio ?tracks () =
   let drive = Drive.create ~pack_id:9 small_geometry in
-  let bio = Bio.create ?tracks ~label_cache:(Label_cache.create drive) drive in
+  let bio = Bio.create ?tracks drive in
   (drive, bio)
 
 let addr i = Disk_address.of_index i

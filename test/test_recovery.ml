@@ -421,6 +421,23 @@ let test_ladder_direct () =
   Alcotest.(check bool) "right page" true
     (Disk_address.equal s.Hints.resolved.Page.addr p2.Page.addr)
 
+(* The rungs read the platter: a write the track buffers absorbed but
+   have not flushed must still be what the ladder hands back. *)
+let test_ladder_sees_delayed_writes () =
+  let _drive, fs, root, file = ladder_setup () in
+  let p2 = file_ok "p2" (File.page_name file 2) in
+  file_ok "overwrite" (File.write_bytes file ~pos:(Sector.bytes_per_page + 10) "FRESH");
+  Alcotest.(check bool) "the write really is delayed" true
+    (Alto_fs.Bio.dirty_sectors (Fs.bio fs) > 0);
+  let s = run_ladder fs root (request ~fid:(File.fid file) ~page_hint:p2.Page.addr ()) in
+  Alcotest.(check bool) "won at the direct rung" true (rungs_of s = [ Hints.Direct ]);
+  let byte b =
+    let w = s.Hints.value.(b / 2) in
+    Char.chr (if b mod 2 = 0 then Word.high_byte w else Word.low_byte w)
+  in
+  Alcotest.(check string) "the acknowledged bytes" "FRESH"
+    (String.init 5 (fun i -> byte (10 + i)))
+
 let test_ladder_leader_chain () =
   let _drive, fs, root, file = ladder_setup () in
   (* A wrong page hint, but a good leader hint. *)
@@ -664,6 +681,7 @@ let () =
       ( "hints",
         [
           ("direct", `Quick, test_ladder_direct);
+          ("direct rung sees delayed writes", `Quick, test_ladder_sees_delayed_writes);
           ("leader chain", `Quick, test_ladder_leader_chain);
           ("directory by FV", `Quick, test_ladder_directory_fid);
           ("directory by name", `Quick, test_ladder_directory_name);
