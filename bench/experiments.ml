@@ -39,6 +39,9 @@ module Obs = Alto_obs.Obs
 module Prof = Alto_obs.Prof
 open Workloads
 
+(* A registry counter's current value (0 if never registered). *)
+let counter name = match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
+
 (* E1 — §3.5: "This entire process is called scavenging, and it takes
    about a minute for a 2.5 megabyte disk." *)
 let e1 () =
@@ -921,11 +924,6 @@ let e13 () =
 let e14 () =
   heading "E14  soft-error soak: bounded retry absorbs transients";
   claim "transient read errors are retried and recovered; no data is lost";
-  let counter name =
-    match Alto_obs.Obs.find name with
-    | Some (Alto_obs.Obs.Counter v) -> v
-    | Some (Alto_obs.Obs.Histogram _) | None -> 0
-  in
   (* (a) Sweep the soft-error rate. Each round: fresh volume, transient
      mode on, 20 files written and read back twice, every byte compared
      against what was written. *)
@@ -1092,9 +1090,9 @@ let e15 () =
     { Drive.op_none with Drive.label = Some Drive.Check; value = Some Drive.Read }
   in
   let measure f =
-    Drive.reset_stats drive;
+    let seeks0 = counter "disk.seeks" in
     let (), us = timed clock f in
-    ((Drive.stats drive).Drive.seeks, us)
+    (counter "disk.seeks" - seeks0, us)
   in
   let naive_seeks, naive_us =
     measure (fun () ->
@@ -1305,11 +1303,6 @@ let e17 () =
   (* The whole-tree disk components against the drive's own counters.
      Both are cumulative over the process, so the comparison holds no
      matter which experiments ran before this one. *)
-  let counter name =
-    match Obs.find name with
-    | Some (Obs.Counter n) -> n
-    | Some (Obs.Histogram _) | None -> 0
-  in
   let t = Prof.disk_totals () in
   let prof_disk_us =
     t.Prof.t_seek_us + t.Prof.t_rotation_us + t.Prof.t_transfer_us
@@ -1492,9 +1485,6 @@ let e18 () =
     failwith "E18: the server's books disagree with the clients'";
   if s.File_server.naks <> total_naks then
     failwith "E18: NAK counts disagree between server and clients";
-  let counter name =
-    match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
-  in
   let hist_p name p =
     match Obs.find name with
     | Some (Obs.Histogram s) ->
@@ -1700,9 +1690,6 @@ let e19 () =
             "E19: pack %d is not byte-identical to pack 0 after the rebuild" i)
     drives;
   let lost = Array.fold_left (fun acc n -> acc + Replica.pages_lost n) 0 nodes in
-  let counter name =
-    match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
-  in
   let hist_p name p =
     match Obs.find name with
     | Some (Obs.Histogram s) ->
@@ -1934,9 +1921,6 @@ let e22 () =
      replica repair over a faulty net, and the traces decompose each \
      request's life into queue wait vs service";
   let module Trace = Alto_obs.Trace in
-  let counter name =
-    match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
-  in
   let hist_p name p =
     match Obs.find name with
     | Some (Obs.Histogram s) ->

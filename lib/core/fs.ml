@@ -28,16 +28,6 @@ let pp_error fmt = function
   | Page_error e -> Page.pp_error fmt e
   | Corrupt msg -> Format.fprintf fmt "descriptor corrupt: %s" msg
 
-type counters = {
-  allocations : int;
-  frees : int;
-  stale_map_hits : int;
-  bad_sectors_hit : int;
-}
-
-let zero_counters =
-  { allocations = 0; frees = 0; stale_map_hits = 0; bad_sectors_hit = 0 }
-
 type t = {
   drive : Drive.t;
   shape : Geometry.t;
@@ -49,7 +39,6 @@ type t = {
   mutable label_checking : bool;
   mutable verify_first_writes : bool;
   mutable descriptor_pages : Disk_address.t array;  (** Data pages, pn 1.. *)
-  mutable counters : counters;
   mutable bad_table : int list;
       (** Quarantined sector indexes, oldest first — the persistent
           bad-sector table, flushed with the descriptor. *)
@@ -111,7 +100,6 @@ let policy t = t.policy
 let set_policy t p = t.policy <- p
 let set_label_checking t flag = t.label_checking <- flag
 let set_verify_first_writes t flag = t.verify_first_writes <- flag
-let counters t = t.counters
 let set_next_serial t n = t.next_serial <- n
 
 let sector_count t = Array.length t.busy
@@ -341,22 +329,18 @@ let allocate_page t ~label ~value =
     | Ok addr -> (
         match write_first t addr (label addr) value with
         | Ok () ->
-            t.counters <- { t.counters with allocations = t.counters.allocations + 1 };
             Obs.incr m_allocations;
             Ok addr
         | Error `Not_free ->
             (* The map lied: the page was busy all along. It stays marked
                busy and we go around again — the paper's "little extra
                one-time disk activity". *)
-            t.counters <- { t.counters with stale_map_hits = t.counters.stale_map_hits + 1 };
             Obs.incr m_stale_map_hits;
             Obs.event ~clock:(Drive.clock t.drive)
               ~fields:[ ("addr", Obs.I (Disk_address.to_index addr)) ]
               "fs.stale_map_hit";
             attempt ()
         | Error `Bad ->
-            t.counters <-
-              { t.counters with bad_sectors_hit = t.counters.bad_sectors_hit + 1 };
             Obs.incr m_bad_sectors_hit;
             (* Record the dud so no future mount hands it out again. *)
             quarantine t addr;
@@ -377,7 +361,6 @@ let free_page t (fn : Page.full_name) =
     | Error e -> Error (Page_error (Page.Hint_failed e))
     | Ok () ->
         mark_free t fn.Page.addr;
-        t.counters <- { t.counters with frees = t.counters.frees + 1 };
         Obs.incr m_frees;
         Ok ()
   in
@@ -592,7 +575,6 @@ let make_handle drive =
       label_checking = true;
       verify_first_writes = false;
       descriptor_pages = [||];
-      counters = zero_counters;
       bad_table = [];
       spill = [];
       dirty = false;

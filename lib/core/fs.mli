@@ -108,7 +108,8 @@ val allocate_page :
 (** Pick a free page, then perform the first write: check the free
     pattern, write [label addr] and [value]. Stale map entries and bad
     sectors are retried transparently (the map is corrected as a side
-    effect). *)
+    effect); each map entry the label's free check refutes counts in
+    [fs.stale_map_hits], each bad sector in [fs.bad_sectors_hit]. *)
 
 val reserve : t -> (Disk_address.t, error) result
 (** The map half of allocation only: pick a page and mark it busy. *)
@@ -186,17 +187,6 @@ val patrol_cursor : t -> int
 val set_patrol_cursor : t -> int -> unit
 (** In-core only; {!flush} (or the patrol's own persistence policy)
     writes it out. Raises [Invalid_argument] beyond the pack. *)
-
-type counters = {
-  allocations : int;
-  frees : int;
-  stale_map_hits : int;
-      (** Allocation attempts refuted by the label's free check — the
-          map hint being caught lying. *)
-  bad_sectors_hit : int;
-}
-
-val counters : t -> counters
 
 (** {2 Reconstruction interface}
 

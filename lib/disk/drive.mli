@@ -53,18 +53,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-type stats = {
-  operations : int;
-  seeks : int;
-  seek_us : int;
-  rotational_wait_us : int;
-  transfer_us : int;
-  words_read : int;
-  words_written : int;
-  check_failures : int;
-  soft_errors : int;
-}
-
 val create : ?clock:Alto_machine.Sim_clock.t -> pack_id:int -> Geometry.t -> t
 (** A formatted pack: every sector's header holds the pack id and its own
     disk address; labels and values are zeroed. Raises [Invalid_argument]
@@ -93,9 +81,6 @@ val run :
     errors — if the address is nil or out of range, a buffer is missing
     or mis-sized, or the operation violates the write-continuation rule
     (a write on one part requires writes on all later parts). *)
-
-val stats : t -> stats
-val reset_stats : t -> unit
 
 val current_cylinder : t -> int
 (** Where the heads are right now — the anchor from which {!Sched}

@@ -76,28 +76,26 @@ let note name =
 
 (* {2 Disk-time attribution}
 
-   [Drive] reports every microsecond of charged motion here, split into
-   seek / rotational wait / transfer. While a retry ladder is running
-   (bracketed by {!with_retry}) the whole charge is filed under the
-   retry component instead: the first attempt's motion is the cost of
-   the operation, everything after it is the cost of the fault. Summing
-   the four components over the whole tree therefore reproduces the
-   [disk.*] motion counters exactly. *)
+   [Drive]'s one charge point reports every microsecond of motion here,
+   tagged seek / rotational wait / transfer. While a retry ladder is
+   running (bracketed by {!with_retry}) the whole charge is filed under
+   the retry component instead: the first attempt's motion is the cost
+   of the operation, everything after it is the cost of the fault.
+   Summing the four components over the whole tree therefore reproduces
+   the [disk.*] motion counters exactly. *)
 
-let charge component us =
+type motion = Seek | Rotation | Transfer
+
+let charge motion us =
   if us > 0 then begin
     let d = (current ()).n_disk in
     if !retry_depth > 0 then d.d_retry_us <- d.d_retry_us + us
     else
-      match component with
-      | `Seek -> d.d_seek_us <- d.d_seek_us + us
-      | `Rotation -> d.d_rotation_us <- d.d_rotation_us + us
-      | `Transfer -> d.d_transfer_us <- d.d_transfer_us + us
+      match motion with
+      | Seek -> d.d_seek_us <- d.d_seek_us + us
+      | Rotation -> d.d_rotation_us <- d.d_rotation_us + us
+      | Transfer -> d.d_transfer_us <- d.d_transfer_us + us
   end
-
-let charge_seek us = charge `Seek us
-let charge_rotation us = charge `Rotation us
-let charge_transfer us = charge `Transfer us
 
 let with_retry f =
   incr retry_depth;

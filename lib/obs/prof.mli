@@ -34,12 +34,16 @@ val note : string -> unit
 
 (** {1 Disk-time attribution}
 
-    Called by the drive layer; not meant for general use. Charges go to
-    the innermost open span (the root when none is open). *)
+    Fed by [Drive]'s one charge point, which passes the same amounts to
+    the [disk.*] counters and to {!Trace.charge}; not meant for general
+    use. Charges go to the innermost open span (the root when none is
+    open). *)
 
-val charge_seek : int -> unit
-val charge_rotation : int -> unit
-val charge_transfer : int -> unit
+type motion = Seek | Rotation | Transfer
+(** The three parts of one disk operation's cost (§3.3): a seek if the
+    cylinder changes, the rotational wait, one sector's transfer. *)
+
+val charge : motion -> int -> unit
 
 val with_retry : (unit -> 'a) -> 'a
 (** While [f] runs, any motion charged lands in the current span's

@@ -9,6 +9,19 @@ type span = {
   mutable sp_end_us : int;  (* -1 while open *)
 }
 
+(* Motion microseconds by component. *)
+type book = { mutable seek : int; mutable rotation : int; mutable transfer : int }
+
+let book () = { seek = 0; rotation = 0; transfer = 0 }
+
+let add b (motion : Prof.motion) us =
+  match motion with
+  | Seek -> b.seek <- b.seek + us
+  | Rotation -> b.rotation <- b.rotation + us
+  | Transfer -> b.transfer <- b.transfer + us
+
+let totals b = (b.seek, b.rotation, b.transfer)
+
 type trace = {
   tr_id : int;
   tr_name : string;
@@ -19,9 +32,7 @@ type trace = {
   mutable tr_status : string;  (* "" while open *)
   mutable tr_marks : (string * int) list;  (* newest first *)
   mutable tr_spans : span list;  (* newest first; the root is last *)
-  mutable tr_seek_us : int;
-  mutable tr_rot_us : int;
-  mutable tr_xfer_us : int;
+  tr_disk : book;
   mutable tr_park_at : int;  (* -1 when not parked *)
   mutable tr_wait_us : int;
   mutable tr_seen : string list;  (* remote keys already billed *)
@@ -47,9 +58,9 @@ let cur : context option ref = ref None
 
 (* The balance sheet: component microseconds charged under some context
    vs. none. Maintained at charge time, so it stays exact after the
-   ring evicts old traces. Index 0 seek, 1 rotation, 2 transfer. *)
-let att = [| 0; 0; 0 |]
-let unt = [| 0; 0; 0 |]
+   ring evicts old traces. *)
+let att = ref (book ())
+let unt = ref (book ())
 
 let reset_state () =
   next_trace := 1;
@@ -57,8 +68,8 @@ let reset_state () =
   Hashtbl.reset traces;
   Queue.clear finished;
   cur := None;
-  Array.fill att 0 3 0;
-  Array.fill unt 0 3 0
+  att := book ();
+  unt := book ()
 
 (* Every executable that traces also links this module, so the hook is
    registered before any workload can reset. *)
@@ -101,9 +112,7 @@ let start ~clock ~origin ~name =
       tr_status = "";
       tr_marks = [ ("queued", t0) ];
       tr_spans = [ root ];
-      tr_seek_us = 0;
-      tr_rot_us = 0;
-      tr_xfer_us = 0;
+      tr_disk = book ();
       tr_park_at = -1;
       tr_wait_us = 0;
       tr_seen = [];
@@ -169,42 +178,28 @@ let served ctx =
       tr.tr_marks <- ("sweep-served", t) :: tr.tr_marks
   | _ -> ()
 
-(* Charges flow to the current trace if it is still retained, else to
+(* Charges flow to the context's trace if it is still retained, else to
    the untraced bucket: either way the global balance holds. A trace
    already finished (a timeout-abandoned request whose batch the sweep
    serves later) keeps absorbing its own motion — the work was done for
    that request, whether or not anyone is still waiting for it. *)
-let charge k us =
-  if us > 0 then
-    match (match !cur with Some ctx -> find ctx | None -> None) with
-    | Some tr ->
-        (match k with
-        | 0 -> tr.tr_seek_us <- tr.tr_seek_us + us
-        | 1 -> tr.tr_rot_us <- tr.tr_rot_us + us
-        | _ -> tr.tr_xfer_us <- tr.tr_xfer_us + us);
-        att.(k) <- att.(k) + us
-    | None -> unt.(k) <- unt.(k) + us
+let bill ctx motion us =
+  match Option.bind ctx find with
+  | Some tr ->
+      add tr.tr_disk motion us;
+      add !att motion us
+  | None -> add !unt motion us
 
-let charge_seek us = charge 0 us
-let charge_rotation us = charge 1 us
-let charge_transfer us = charge 2 us
+let charge motion us = if us > 0 then bill !cur motion us
 
 let rebill_seek ~from_ ~to_ us =
   if us > 0 && from_ <> to_ then begin
-    (match (match from_ with Some c -> find c | None -> None) with
-    | Some tr ->
-        tr.tr_seek_us <- tr.tr_seek_us - us;
-        att.(0) <- att.(0) - us
-    | None -> unt.(0) <- unt.(0) - us);
-    match (match to_ with Some c -> find c | None -> None) with
-    | Some tr ->
-        tr.tr_seek_us <- tr.tr_seek_us + us;
-        att.(0) <- att.(0) + us
-    | None -> unt.(0) <- unt.(0) + us
+    bill from_ Seek (-us);
+    bill to_ Seek us
   end
 
-let attributed () = (att.(0), att.(1), att.(2))
-let untraced () = (unt.(0), unt.(1), unt.(2))
+let attributed () = totals !att
+let untraced () = totals !unt
 
 let wire () = match !cur with Some c -> (c.trace, c.span) | None -> (0, 0)
 let of_wire (t, s) = if t <= 0 then None else Some { trace = t; span = s }
@@ -264,9 +259,9 @@ let info_of tr =
     end_us = tr.tr_end_us;
     wait_us = wait;
     service_us = max 0 (until - tr.tr_start_us - wait);
-    seek_us = tr.tr_seek_us;
-    rotation_us = tr.tr_rot_us;
-    transfer_us = tr.tr_xfer_us;
+    seek_us = tr.tr_disk.seek;
+    rotation_us = tr.tr_disk.rotation;
+    transfer_us = tr.tr_disk.transfer;
     marks = List.rev tr.tr_marks;
   }
 

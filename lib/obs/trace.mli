@@ -94,12 +94,10 @@ val served : context -> unit
 
 (** {1 Motion charges}
 
-    Called by the drive alongside the {!Prof} charges, with the same
-    microsecond amounts: the two accountings see identical totals. *)
+    Fed by [Drive]'s one charge point alongside {!Prof.charge}, with the
+    same microsecond amounts: the two accountings see identical totals. *)
 
-val charge_seek : int -> unit
-val charge_rotation : int -> unit
-val charge_transfer : int -> unit
+val charge : Prof.motion -> int -> unit
 
 val rebill_seek : from_:context option -> to_:context option -> int -> unit
 (** Move seek microseconds between per-trace accounts ([None] is the

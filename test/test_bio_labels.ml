@@ -98,6 +98,7 @@ let test_retry_evidence_evicts () =
      error actually trips: that retry evidence must kill the entry even
      though no label was written. *)
   Fault.set_soft_errors drive ~seed:21 ~rate:0.9;
+  let soft0 = counter "disk.soft_errors" in
   let tripped = ref false in
   for _ = 1 to 20 do
     if not !tripped then begin
@@ -107,7 +108,7 @@ let test_retry_evidence_evicts () =
            ~value:(zero_value ()) ()
        with
       | Ok () | Error _ -> ());
-      if (Drive.stats drive).Drive.soft_errors > 0 then tripped := true
+      if counter "disk.soft_errors" > soft0 then tripped := true
     end
   done;
   Alcotest.(check bool) "a soft error tripped" true !tripped;
@@ -231,10 +232,10 @@ let test_labels_survive_disabled_tracks () =
     done
   in
   walk ();
-  let ops0 = (Drive.stats drive).Drive.operations in
+  let ops0 = counter "disk.operations" in
   let hits0 = counter "fs.label_cache.hits" in
   walk ();
-  Alcotest.(check int) "no disk operation" ops0 (Drive.stats drive).Drive.operations;
+  Alcotest.(check int) "no disk operation" ops0 (counter "disk.operations");
   Alcotest.(check int) "four label hits" (hits0 + 4) (counter "fs.label_cache.hits");
   Alcotest.(check int) "no track buffered" 0 (Bio.cached_tracks bio)
 
@@ -299,7 +300,7 @@ let test_cached_run_matches_uncached () =
       write_sector drive (page_addr pn) ~label:(Label.to_words (page_label pn))
         ~value:(page_value 0 pn)
     done;
-    Drive.reset_stats drive;
+    let ops0 = counter "disk.operations" in
     (* Three chain walks (the read_label path the hint ladder uses)... *)
     for _pass = 1 to 3 do
       for pn = 0 to pages - 1 do
@@ -323,7 +324,7 @@ let test_cached_run_matches_uncached () =
               ~prev:(link (pages - 2)))
          ~value:(zero_value ()));
     Option.iter (fun b -> ignore (Bio.flush b : Bio.flush_report)) bio;
-    (image drive, (Drive.stats drive).Drive.operations)
+    (image drive, counter "disk.operations" - ops0)
   in
   let uncached_image, uncached_ops = run None in
   let hits0 = counter "fs.label_cache.hits" in

@@ -12,6 +12,9 @@ module Label = Alto_fs.Label
 module Page = Alto_fs.Page
 module Directory = Alto_fs.Directory
 module Leader = Alto_fs.Leader
+module Obs = Alto_obs.Obs
+
+let counter name = match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
 
 let small_geometry =
   (* A small disk keeps tests fast while exercising every code path. *)
@@ -84,7 +87,7 @@ let test_stale_map_hint_is_survived () =
   let drive, fs = fresh_fs () in
   (* Lie in the map: mark a busy page (the descriptor leader) free. *)
   Fs.mark_free fs Fs.descriptor_leader_address;
-  let before = (Fs.counters fs).Fs.stale_map_hits in
+  let before = counter "fs.stale_map_hits" in
   (* Force allocation to try the liar first. *)
   let free_before = Fs.free_count fs in
   let rec exhaust n =
@@ -100,7 +103,7 @@ let test_stale_map_hint_is_survived () =
       | Error e -> Alcotest.failf "allocate: %a" Fs.pp_error e
   in
   exhaust free_before;
-  let after = (Fs.counters fs).Fs.stale_map_hits in
+  let after = counter "fs.stale_map_hits" in
   Alcotest.(check bool) "the lie was caught by the label check" true (after > before);
   (* The descriptor leader was never overwritten. *)
   match Label.classify (Drive.peek drive Fs.descriptor_leader_address).Sector.label with

@@ -290,6 +290,34 @@ let test_drive_run_charges_motion () =
   in
   Alcotest.(check int) "seek events traced" 2 (List.length seeks)
 
+(* Recalibration moves the heads through the drive's one charge point
+   but leaves its own mark: a seek in the counters, a [disk.restore]
+   event, and no [disk.seek] event. *)
+let test_restore_counts_a_seek () =
+  fresh ();
+  let drive = Drive.create ~pack_id:1 Geometry.diablo_31 in
+  let sectors_per_cylinder = Drive.sector_count drive / Geometry.diablo_31.Geometry.cylinders in
+  (match
+     Drive.run drive
+       (Disk_address.of_index (100 * sectors_per_cylinder))
+       { Drive.op_none with Drive.value = Some Drive.Read }
+       ~value:(Array.make Sector.value_words Word.zero) ()
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "read failed");
+  let counter name = match Obs.find name with Some (Obs.Counter v) -> v | _ -> 0 in
+  let events name =
+    List.length (List.filter (fun e -> String.equal e.Obs.name name) (Obs.trace ()))
+  in
+  let seeks0 = counter "disk.seeks" and restores0 = counter "disk.restores" in
+  let seek_events0 = events "disk.seek" and restore_events0 = events "disk.restore" in
+  Drive.restore drive;
+  Alcotest.(check int) "one seek counted" (seeks0 + 1) (counter "disk.seeks");
+  Alcotest.(check int) "one restore counted" (restores0 + 1) (counter "disk.restores");
+  Alcotest.(check int) "one restore event" (restore_events0 + 1) (events "disk.restore");
+  Alcotest.(check int) "no seek event" seek_events0 (events "disk.seek");
+  Alcotest.(check int) "heads on cylinder 0" 0 (Drive.current_cylinder drive)
+
 let () =
   Alcotest.run "alto obs"
     [
@@ -319,5 +347,8 @@ let () =
           ("metrics json", `Quick, test_metrics_json);
         ] );
       ( "integration",
-        [ ("drive charges motion", `Quick, test_drive_run_charges_motion) ] );
+        [
+          ("drive charges motion", `Quick, test_drive_run_charges_motion);
+          ("restore counts a seek", `Quick, test_restore_counts_a_seek);
+        ] );
     ]

@@ -11,6 +11,8 @@ module Geometry = Alto_disk.Geometry
 module Disk_address = Alto_disk.Disk_address
 module Drive = Alto_disk.Drive
 module Fault = Alto_disk.Fault
+module Reliable = Alto_disk.Reliable
+module Sector = Alto_disk.Sector
 module Fs = Alto_fs.Fs
 module File = Alto_fs.File
 module Directory = Alto_fs.Directory
@@ -22,6 +24,7 @@ module Keyboard = Alto_streams.Keyboard
 module Display = Alto_streams.Display
 module Obs = Alto_obs.Obs
 module Prof = Alto_obs.Prof
+module Trace = Alto_obs.Trace
 
 let tiny = { Geometry.diablo_31 with Geometry.model = "tiny"; cylinders = 3 }
 
@@ -127,10 +130,10 @@ let test_retry_motion_files_under_retry () =
   fresh ();
   let clock = Sim_clock.create () in
   Prof.span clock "op" (fun () ->
-      Prof.charge_seek 5;
+      Prof.charge Seek 5;
       Prof.with_retry (fun () ->
-          Prof.charge_seek 3;
-          Prof.charge_rotation 2));
+          Prof.charge Seek 3;
+          Prof.charge Rotation 2));
   let op = find_exn (Prof.tree ()) "op" in
   Alcotest.(check int) "first-attempt seek" 5 op.Prof.seek_us;
   Alcotest.(check int) "no rotation outside retry" 0 op.Prof.rotation_us;
@@ -176,6 +179,43 @@ let test_disk_charges_balance_the_counters () =
     + counter "disk.transfer_us")
     (totals.Prof.t_seek_us + totals.Prof.t_rotation_us
     + totals.Prof.t_transfer_us + totals.Prof.t_retry_us)
+
+(* The retry ladder's recalibrations move the heads too: with restores
+   in the mix, the span tree and the request tracer must still each sum
+   to exactly the drive's motion counters. *)
+let test_restores_balance_every_book () =
+  fresh ();
+  let drive = Drive.create ~pack_id:5 tiny in
+  let clock = Drive.clock drive in
+  Fault.set_soft_errors drive ~seed:5 ~rate:0.8;
+  let ctx = Trace.start ~clock ~origin:"test" ~name:"salvage" in
+  Prof.span clock "salvage" (fun () ->
+      Trace.with_current (Some ctx) (fun () ->
+          for i = 0 to 40 do
+            let (_ : (unit, Drive.error) result) =
+              Reliable.run ~policy:Reliable.salvage_policy drive
+                (Disk_address.of_index (i * 29 mod Drive.sector_count drive))
+                { Drive.op_none with value = Some Drive.Read }
+                ~value:(Array.make Sector.value_words Word.zero) ()
+            in
+            ()
+          done));
+  Trace.finish ctx ~status:"done";
+  let counter name =
+    match Obs.find name with
+    | Some (Obs.Counter v) -> v
+    | _ -> Alcotest.failf "no counter %s" name
+  in
+  Alcotest.(check bool) "the ladder restored" true (counter "disk.restores" > 0);
+  let motion =
+    counter "disk.seek_us" + counter "disk.rotational_wait_us" + counter "disk.transfer_us"
+  in
+  let t = Prof.disk_totals () in
+  Alcotest.(check int) "span tree vs disk counters" motion
+    (t.Prof.t_seek_us + t.Prof.t_rotation_us + t.Prof.t_transfer_us + t.Prof.t_retry_us);
+  let a_s, a_r, a_x = Trace.attributed () in
+  let u_s, u_r, u_x = Trace.untraced () in
+  Alcotest.(check int) "tracer vs disk counters" motion (a_s + a_r + a_x + u_s + u_r + u_x)
 
 (* {2 The flight recorder} *)
 
@@ -286,6 +326,7 @@ let () =
           ("notes mark zero-cost causes", `Quick, test_notes_mark_zero_cost_causes);
           ("retry motion files under retry", `Quick, test_retry_motion_files_under_retry);
           ("charges balance the counters", `Quick, test_disk_charges_balance_the_counters);
+          ("restores balance every book", `Quick, test_restores_balance_every_book);
         ] );
       ( "flight",
         [
