@@ -930,7 +930,7 @@ let e14 () =
   let soak rate =
     let drive, fs = fresh () in
     let clock = Fs.clock fs in
-    Fault.set_soft_errors drive ~seed:1234 ~rate;
+    Drive.set_soft_errors drive ~seed:1234 ~rate;
     let soft0 = counter "disk.soft_errors"
     and retries0 = counter "disk.retries"
     and exhausted0 = counter "disk.retry_exhausted" in
@@ -1004,7 +1004,7 @@ let e14 () =
     !acc
   in
   List.iter
-    (fun addr -> Fault.make_marginal ~rate:0.7 ~growth:1.0 ~degrade_after:1000 drive addr)
+    (fun addr -> Drive.set_marginal drive addr ~rate:0.7 ~growth:1.0 ~degrade_after:1000)
     victims;
   let fs', report =
     ok Format.pp_print_string
@@ -1155,7 +1155,7 @@ let e16 () =
     "marginal sectors are drained before they fail; crash recovery is \
      bounded by the sweep's unfinished tail, not by the pack";
   let drive, fs = fresh () in
-  Fault.set_soft_errors drive ~seed:4242 ~rate:0.0;
+  Drive.set_soft_errors drive ~seed:4242 ~rate:0.0;
   let clock = Fs.clock fs in
   let n = Drive.sector_count drive in
   let root = ok Directory.pp_error (Directory.open_root fs) in
@@ -1178,9 +1178,9 @@ let e16 () =
       [ 0; 5; 10; 15 ]
   in
   List.iter
-    (fun a -> Fault.make_marginal ~rate:0.7 ~growth:1.0 ~degrade_after:250 drive a)
+    (fun a -> Drive.set_marginal drive a ~rate:0.7 ~growth:1.0 ~degrade_after:250)
     victims;
-  let patrol = Patrol.create ~suspect_retries:1 fs in
+  let patrol = Patrol.create fs in
   let drained () =
     List.for_all (fun a -> Fs.quarantined fs a || Fs.spilled fs a) victims
   in

@@ -46,7 +46,6 @@ type t = {
   spt : int;
   mutable tracks : int;  (* capacity in whole-track buffers; 0 disables *)
   mutable high_water : int;  (* dirty sectors that trigger a full flush *)
-  mutable explicit_high_water : bool;
   slots : (int, slot) Hashtbl.t;  (* keyed by track number *)
   label_table : (int, remembered) Hashtbl.t;  (* keyed by flat sector index *)
   mutable tick : int;
@@ -54,24 +53,22 @@ type t = {
   mutable on_dirty : unit -> unit;
 }
 
-let default_tracks = 16
-
 (* A label-only working set (a directory's chain, a hint ladder's walk)
    spans far more sectors than 16 tracks hold, so remembered labels keep
    a bound of their own. *)
 let label_capacity = 128
 
-let create ?(tracks = default_tracks) ?high_water drive =
-  if tracks < 0 then invalid_arg "Bio.create: negative track count";
+let high_water_of ~tracks ~spt = max 1 (tracks * spt / 2)
+
+let create drive =
+  let tracks = 16 in
   let spt = (Drive.geometry drive).Geometry.sectors_per_track in
   {
     drive;
     spt;
     tracks;
-    high_water =
-      (match high_water with Some h -> h | None -> max 1 (tracks * spt / 2));
-    explicit_high_water = high_water <> None;
-    slots = Hashtbl.create (max 1 tracks);
+    high_water = high_water_of ~tracks ~spt;
+    slots = Hashtbl.create tracks;
     label_table = Hashtbl.create label_capacity;
     tick = 0;
     dirty_count = 0;
@@ -445,4 +442,4 @@ let set_tracks (t : t) n =
       done
   end;
   t.tracks <- n;
-  if not t.explicit_high_water then t.high_water <- max 1 (n * t.spt / 2)
+  t.high_water <- high_water_of ~tracks:n ~spt:t.spt

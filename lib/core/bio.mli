@@ -59,12 +59,10 @@ module Disk_address = Alto_disk.Disk_address
 
 type t
 
-val create : ?tracks:int -> ?high_water:int -> Drive.t -> t
-(** An empty cache of at most [tracks] whole-track buffers (default 16;
-    0 disables the track buffers — every sector probe misses and nothing
-    is absorbed — but not the label table). [high_water] is the
-    dirty-sector count that triggers an automatic full flush (default:
-    half the buffers' sector capacity). Labels read by track fills are
+val create : Drive.t -> t
+(** An empty cache of at most 16 whole-track buffers. Half the buffers'
+    sector capacity is the high-water mark: the dirty-sector count that
+    triggers an automatic full flush. Labels read by track fills are
     remembered, so a fill also warms the chain-walking paths. *)
 
 val drive : t -> Drive.t
@@ -72,8 +70,11 @@ val enabled : t -> bool
 
 val set_tracks : t -> int -> unit
 (** Resize the track buffers (shrinking flushes and evicts; 0 flushes
-    and drops every buffer and disables them). Remembered labels are
-    kept. Raises [Invalid_argument] on a negative count. *)
+    and drops every buffer and disables them — every sector probe then
+    misses and nothing is absorbed — but not the label table). The
+    high-water mark follows: half the new sector capacity, at least 1.
+    Remembered labels are kept. Raises [Invalid_argument] on a negative
+    count. *)
 
 val lookup : t -> Disk_address.t -> (Word.t array * Word.t array) option
 (** [(label, value)] for the sector if it is buffered and its

@@ -52,7 +52,7 @@ let clean r =
    descriptor-dependent passes (map, catalogue) just report the mount
    failure and stand down. *)
 
-let check ?(verify_values = true) drive =
+let check drive =
   Obs.incr m_runs;
   let t0 = Alto_machine.Sim_clock.now_us (Drive.clock drive) in
   let n = Drive.sector_count drive in
@@ -215,26 +215,24 @@ let check ?(verify_values = true) drive =
      label+value reads (the audit's slice machinery); any live page that
      will not read back — torn by a crash, or decayed — is data loss if
      a catalogued file owns it, a leaked fragment otherwise. *)
-  if verify_values then begin
-    let fs_for_reads =
-      match mounted with Some fs -> fs | None -> Fs.create_unmounted drive
-    in
-    let slice = Audit.read_slice fs_for_reads ~start:0 ~k:n in
-    Array.iteri
-      (fun j index ->
-        match sweep.Sweep.classes.(index) with
-        | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media | Sweep.Garbage _ -> ()
-        | Sweep.Live label ->
-            if not (Audit.sector_ok slice j) then
-              (sev label.Label.fid)
-                ~addr:index
-                (if Drive.is_torn drive (Disk_address.of_index index) then
-                   "torn-page"
-                 else "unreadable-page")
-                "%a page %d will not read back" File_id.pp label.Label.fid
-                label.Label.page)
-      slice.Audit.indexes
-  end;
+  let fs_for_reads =
+    match mounted with Some fs -> fs | None -> Fs.create_unmounted drive
+  in
+  let slice = Audit.read_slice fs_for_reads ~start:0 ~k:n in
+  Array.iteri
+    (fun j index ->
+      match sweep.Sweep.classes.(index) with
+      | Sweep.Free_sector | Sweep.Marked_bad | Sweep.Bad_media | Sweep.Garbage _ -> ()
+      | Sweep.Live label ->
+          if not (Audit.sector_ok slice j) then
+            (sev label.Label.fid)
+              ~addr:index
+              (if Drive.is_torn drive (Disk_address.of_index index) then
+                 "torn-page"
+               else "unreadable-page")
+              "%a page %d will not read back" File_id.pp label.Label.fid
+              label.Label.page)
+    slice.Audit.indexes;
   let report =
     {
       counts =

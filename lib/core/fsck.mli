@@ -53,10 +53,10 @@ type report = {
   duration_us : int;
 }
 
-val check : ?verify_values:bool -> Drive.t -> report
+val check : Drive.t -> report
 (** Sweep every label, mount the descriptor read-only, compare the map,
-    walk the catalogue and every file chain, and ([verify_values],
-    default on) read every live page's data back. Counted in
+    walk the catalogue and every file chain, and read every live page's
+    data back. Counted in
     [fs.fsck.runs] / [fs.fsck.findings] / [fs.fsck.violations]. *)
 
 val clean : report -> bool

@@ -22,7 +22,11 @@ let m_recoveries = Obs.counter "fs.patrol.recoveries"
 
 (* One cylinder of the Diablo 31 (2 tracks x 12 sectors): a slice the
    elevator turns into one seek plus streaming reads. *)
-let default_slice = 24
+let slice = 24
+
+(* One retry marks a live page's sector marginal: a false positive costs
+   one copy, a false negative risks the data. *)
+let suspect_retries = 1
 
 type report = {
   first_sector : int;
@@ -38,8 +42,6 @@ type report = {
 
 type t = {
   fs : Fs.t;
-  slice : int;
-  suspect_retries : int;
   mutable laps : int;
   mutable slices : int;
   mutable total_suspects : int;
@@ -54,14 +56,10 @@ type t = {
           at double rate instead of lazily. 0 = no makeup owed. *)
 }
 
-let create ?(slice = default_slice) ?(suspect_retries = 1) ?(makeup_until = 0) fs =
-  if slice < 1 then invalid_arg "Patrol.create: slice below 1";
-  if suspect_retries < 1 then invalid_arg "Patrol.create: suspect_retries below 1";
+let create ?(makeup_until = 0) fs =
   if makeup_until < 0 then invalid_arg "Patrol.create: makeup_until below 0";
   {
     fs;
-    slice;
-    suspect_retries;
     laps = 0;
     slices = 0;
     total_suspects = 0;
@@ -274,7 +272,7 @@ let scan_slice t tally ~start ~k =
       let reserved = i <= reserved_top in
       match outcome.Sched.result with
       | Ok () -> (
-          let suspect = outcome.Sched.retries >= t.suspect_retries in
+          let suspect = outcome.Sched.retries >= suspect_retries in
           match Label.classify labels.(j) with
           | Label.Valid lab ->
               (* Map protection: a live page whose map bit reads free
@@ -363,7 +361,7 @@ let persist t tally ~wrapped =
 let tick_once t =
   let n = Drive.sector_count (Fs.drive t.fs) in
   let start = Fs.patrol_cursor t.fs in
-  let k = min t.slice n in
+  let k = min slice n in
   let tally = fresh_tally () in
   Obs.time (Fs.clock t.fs) "fs.patrol.slice_us" (fun () ->
       scan_slice t tally ~start ~k);
@@ -434,8 +432,8 @@ type recovery = {
    cursor were verified earlier in the lap; what a crash can have left
    there (a leaked allocation, a stale hint) is harmless under the label
    discipline and waits for the next full lap or scavenge. *)
-let recover ?slice ?suspect_retries fs =
-  let t = create ?slice ?suspect_retries fs in
+let recover fs =
+  let t = create fs in
   let drive = Fs.drive fs in
   let clock = Drive.clock drive in
   let n = Drive.sector_count drive in
@@ -445,7 +443,7 @@ let recover ?slice ?suspect_retries fs =
   let tally = fresh_tally () in
   let pos = ref resumed_at in
   while !pos < n do
-    let k = min t.slice (n - !pos) in
+    let k = min slice (n - !pos) in
     scan_slice t tally ~start:!pos ~k;
     pos := !pos + k
   done;

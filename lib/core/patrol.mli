@@ -48,15 +48,14 @@
 
 type t
 
-val create : ?slice:int -> ?suspect_retries:int -> ?makeup_until:int -> Fs.t -> t
-(** [slice] (default 24, one Diablo 31 cylinder) sectors are verified
-    per tick; [suspect_retries] (default 1) is the retry count at which
-    a live page's sector is considered marginal and the page moved —
+val create : ?makeup_until:int -> Fs.t -> t
+(** Each tick verifies a 24-sector slice (one Diablo 31 cylinder). One
+    retry marks a live page's sector suspect and the page is moved —
     false positives cost one copy, false negatives risk the data.
     [makeup_until] (default 0 = none) marks the head region [[0, k)]
     a crash recovery skipped; ticks run at double rate until the cursor
-    crosses it. Raises [Invalid_argument] when [slice] or
-    [suspect_retries] is below 1, or [makeup_until] is negative. *)
+    crosses it. Raises [Invalid_argument] when [makeup_until] is
+    negative. *)
 
 val fs : t -> Fs.t
 
@@ -107,10 +106,11 @@ type recovery = {
   duration_us : int;  (** Simulated time the scan cost. *)
 }
 
-val recover : ?slice:int -> ?suspect_retries:int -> Fs.t -> recovery
+val recover : Fs.t -> recovery
 (** Finish the lap a crash interrupted: scan from the persisted cursor
-    to the end of the pack, then reset the cursor, flush the spill file
-    and declare a consistency point ({!Fs.mark_clean}). Boot calls this
+    to the end of the pack in 24-sector slices, then reset the cursor,
+    flush the spill file and declare a consistency point
+    ({!Fs.mark_clean}). Boot calls this
     when a pack mounts dirty; cost is proportional to the unswept tail,
     against the scavenger's multiple whole-pack passes. *)
 

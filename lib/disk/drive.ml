@@ -94,7 +94,10 @@ type t = {
   geometry : Geometry.t;
   pack_id : int;
   clock : Sim_clock.t;
-  sectors : Sector.t array;
+  (* Every sector's three parts, header first, two bytes per word: a
+     quarter of the space of word arrays, and no pointers for the
+     collector to scan. *)
+  platter : Bytes.t;
   bad : bool array;
   mutable current_cylinder : int;
   mutable power_budget : int option;
@@ -118,10 +121,20 @@ type t = {
   label_gen : int array;
 }
 
+let sector_bytes = 2 * (Sector.header_words + Sector.label_words + Sector.value_words)
+
+(* Byte offset of word 0 of a sector's part. *)
+let part_offset index = function
+  | Sector.Header -> index * sector_bytes
+  | Sector.Label -> (index * sector_bytes) + (2 * Sector.header_words)
+  | Sector.Value -> (index * sector_bytes) + (2 * (Sector.header_words + Sector.label_words))
+
+let get_word t off i = Bytes.get_uint16_be t.platter (off + (2 * i))
+
 let format_header t index =
-  let s = t.sectors.(index) in
-  s.Sector.header.(0) <- Word.of_int t.pack_id;
-  s.Sector.header.(1) <- Disk_address.to_word (Disk_address.of_index index)
+  let off = part_offset index Sector.Header in
+  Bytes.set_uint16_be t.platter off (Word.of_int t.pack_id :> int);
+  Bytes.set_uint16_be t.platter (off + 2) (Disk_address.to_word (Disk_address.of_index index) :> int)
 
 let create ?clock ~pack_id geometry =
   (match Geometry.validate geometry with
@@ -134,7 +147,7 @@ let create ?clock ~pack_id geometry =
       geometry;
       pack_id;
       clock;
-      sectors = Array.init n (fun _ -> Sector.create ());
+      platter = Bytes.make (n * sector_bytes) '\000';
       bad = Array.make n false;
       current_cylinder = 0;
       power_budget = None;
@@ -156,7 +169,7 @@ let create ?clock ~pack_id geometry =
 let geometry t = t.geometry
 let clock t = t.clock
 let pack_id t = t.pack_id
-let sector_count t = Array.length t.sectors
+let sector_count t = Bytes.length t.platter / sector_bytes
 
 let check_address t addr =
   let i = Disk_address.to_index addr in
@@ -239,26 +252,29 @@ let charge_motion t index =
   charge t Transfer sector_time;
   Obs.observe m_op_us (seek_us + wait + sector_time)
 
+let store t off buf n = Word.blit_to_bytes buf 0 t.platter off n
+
 (* Perform one part's action; [Error _] aborts the rest of the sector. *)
-let perform t part action disk_words buf =
-  let n = Array.length disk_words in
+let perform t index part action buf =
+  let off = part_offset index part in
+  let n = Sector.part_size part in
   match action with
   | Read ->
-      Array.blit disk_words 0 buf 0 n;
+      Word.blit_from_bytes t.platter off buf 0 n;
       Obs.add m_words_read n;
       Ok ()
   | Write ->
-      Array.blit buf 0 disk_words 0 n;
+      store t off buf n;
       Obs.add m_words_written n;
       Ok ()
   | Check ->
       let rec scan i =
         if i >= n then Ok ()
         else if Word.equal buf.(i) Word.zero then begin
-          buf.(i) <- disk_words.(i);
+          buf.(i) <- Word.of_int (get_word t off i);
           scan (i + 1)
         end
-        else if Word.equal buf.(i) disk_words.(i) then scan (i + 1)
+        else if (buf.(i) :> int) = get_word t off i then scan (i + 1)
         else begin
           Obs.incr m_check_failures;
           Obs.event ~clock:t.clock
@@ -269,7 +285,9 @@ let perform t part action disk_words buf =
                 ("offset", Obs.I i);
               ]
             "disk.check_failure";
-          Error (Check_mismatch { part; offset = i; memory = buf.(i); disk = disk_words.(i) })
+          Error
+            (Check_mismatch
+               { part; offset = i; memory = buf.(i); disk = Word.of_int (get_word t off i) })
         end
       in
       scan 0
@@ -305,7 +323,6 @@ let crash_torn t index op ?header ?label ?value tear =
   charge_motion t index;
   Obs.incr m_operations;
   if not t.bad.(index) then begin
-    let sector = t.sectors.(index) in
     let parts =
       [
         (Sector.Header, op.header, header);
@@ -335,17 +352,17 @@ let crash_torn t index op ?header ?label ?value tear =
         (fun (part, action, buf) ->
           match action with
           | Some ((Read | Check) as a) ->
-              perform t part a (Sector.part_of sector part) (Option.get buf) = Ok ()
+              perform t index part a (Option.get buf) = Ok ()
           | Some Write | None -> true)
         parts
     in
     if pre_writes_ok then
       List.iter
         (fun (part, buf) ->
-          let disk_words = Sector.part_of sector part in
+          let off = part_offset index part in
+          let n = Sector.part_size part in
           if part = Sector.Label then t.label_gen.(index) <- t.label_gen.(index) + 1;
           if target = Some part then begin
-            let n = Array.length disk_words in
             let cut =
               1
               + Int64.to_int
@@ -353,7 +370,7 @@ let crash_torn t index op ?header ?label ?value tear =
                      (Int64.shift_right_logical (prng_next t.soft_rng) 1)
                      (Int64.of_int (max 1 (n - 1))))
             in
-            Array.blit buf 0 disk_words 0 cut;
+            store t off buf cut;
             t.torn.(index) <- t.torn.(index) lor part_bit part;
             t.label_gen.(index) <- t.label_gen.(index) + 1;
             Obs.event ~clock:t.clock
@@ -367,7 +384,7 @@ let crash_torn t index op ?header ?label ?value tear =
               "disk.torn_write";
             raise Power_failure
           end
-          else Array.blit buf 0 disk_words 0 (Array.length disk_words))
+          else store t off buf n)
         written
   end;
   raise Power_failure
@@ -446,7 +463,6 @@ let run t addr op ?header ?label ?value () =
     Error Bad_sector
   end
   else
-    let sector = t.sectors.(index) in
     let step part action buf k =
       match action with
       | None -> k ()
@@ -481,7 +497,7 @@ let run t addr op ?header ?label ?value () =
               t.torn.(index) <- t.torn.(index) land lnot (part_bit part);
             if part = Sector.Label && action = Write then
               t.label_gen.(index) <- t.label_gen.(index) + 1;
-            match perform t part action (Sector.part_of sector part) buf with
+            match perform t index part action buf with
             | Ok () -> k ()
             | Error e -> Error e)
     in
@@ -515,12 +531,17 @@ let bump_label_generation t addr =
 
 let peek t addr =
   let index = check_address t addr in
-  Sector.copy t.sectors.(index)
+  let part p =
+    let ws = Array.make (Sector.part_size p) Word.zero in
+    Word.blit_from_bytes t.platter (part_offset index p) ws 0 (Array.length ws);
+    ws
+  in
+  { Sector.header = part Sector.Header; label = part Sector.Label; value = part Sector.Value }
 
 let poke t addr part words =
   let index = check_address t addr in
-  let target = Sector.part_of t.sectors.(index) part in
-  if Array.length words <> Array.length target then
+  let n = Sector.part_size part in
+  if Array.length words <> n then
     invalid_arg "Drive.poke: wrong part size"
   else begin
     (* Any out-of-band mutation of the platter — whichever part — is
@@ -528,7 +549,7 @@ let poke t addr part words =
        or a cache would keep serving bits the "physics" changed. *)
     t.label_gen.(index) <- t.label_gen.(index) + 1;
     t.torn.(index) <- t.torn.(index) land lnot (part_bit part);
-    Array.blit words 0 target 0 (Array.length target)
+    store t (part_offset index part) words n
   end
 
 let set_bad t addr flag =

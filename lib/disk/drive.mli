@@ -133,15 +133,17 @@ val set_soft_errors : t -> seed:int -> rate:float -> unit
 (** Reseed the drive's soft-error stream and set the base probability
     that any single read/check part access fails transiently. [rate]
     0.0 (the default) disables base soft errors without disturbing
-    marginal sectors. Raises [Invalid_argument] unless [0 <= rate <= 1]. *)
+    marginal sectors. {!Reliable.run} absorbs these. Raises
+    [Invalid_argument] unless [0 <= rate <= 1]. *)
 
 val set_marginal :
   t -> Disk_address.t -> rate:float -> growth:float -> degrade_after:int -> unit
 (** Declare one sector marginal: its data surface is wearing out, so
     {e value} reads fail with its own [rate] (added to the base rate)
-    while header and label accesses see only the base rate; each failure
-    multiplies the rate by [growth] (≥ 1), and after [degrade_after]
-    failures the sector turns permanently bad. *)
+    while header and label accesses see only the base rate — so the
+    scavenger can still identify the page while its data decays; each
+    failure multiplies the rate by [growth] (≥ 1), and after
+    [degrade_after] failures the sector turns permanently bad. *)
 
 val is_marginal : t -> Disk_address.t -> bool
 
@@ -191,10 +193,12 @@ val set_crash_point : t -> ?tear:tear -> after_writes:int -> unit -> unit
     between sectors); with it, the operation's pre-write actions (the
     guarding label check) still run and then the chosen part is left
     torn — a prefix of the words transferred (seeded, version-stable
-    cut point) and the part unreadable. Raises [Invalid_argument] on a
-    negative countdown. *)
+    cut point) and the part unreadable. The crash-injection harness
+    sweeps the countdown across whole workloads. Raises
+    [Invalid_argument] on a negative countdown. *)
 
 val clear_crash_point : t -> unit
+(** Disarm a pending crash point (recovery runs on mains power). *)
 
 val crash_pending : t -> bool
 (** An armed crash point that has not fired yet — how the harness tells
@@ -226,7 +230,7 @@ val poke : t -> Disk_address.t -> Sector.part -> Word.t array -> unit
     rather than mask what the "physics" changed. *)
 
 val set_bad : t -> Disk_address.t -> bool -> unit
-(** Mark or unmark a sector as permanently bad. *)
+(** Mark or unmark a sector as permanently bad: unreadable. *)
 
 val is_bad : t -> Disk_address.t -> bool
 
@@ -235,7 +239,9 @@ val set_value_unreadable : t -> Disk_address.t -> bool -> unit
     checking the value part fails with {!Bad_sector}, but the label (and
     writes, which have no read-back) still work — the failure mode
     behind §3.5's "permanently bad pages are marked in the label with a
-    special value so that they will never be used again". Toggling the
-    flag bumps the sector's label generation — the surface died (or
-    healed) under whatever was cached. *)
+    special value so that they will never be used again". The
+    scavenger's value-verification pass finds such sectors and marks
+    them bad in the label. Toggling the flag bumps the sector's label
+    generation — the surface died (or healed) under whatever was
+    cached. *)
 

@@ -14,19 +14,6 @@ let flip_word rng drive addr part =
   words.(i) <- Word.logxor words.(i) (Word.shift_left Word.one bit);
   Drive.poke drive addr part words
 
-let make_bad drive addr = Drive.set_bad drive addr true
-
-let make_value_unreadable drive addr = Drive.set_value_unreadable drive addr true
-
-let set_soft_errors drive ~seed ~rate = Drive.set_soft_errors drive ~seed ~rate
-
-let make_marginal ?(rate = 0.5) ?(growth = 1.25) ?(degrade_after = 16) drive addr =
-  Drive.set_marginal drive addr ~rate ~growth ~degrade_after
-
-let crash_after_writes ?tear drive n = Drive.set_crash_point drive ?tear ~after_writes:n ()
-
-let cancel_crash drive = Drive.clear_crash_point drive
-
 let decay rng drive ~fraction =
   if fraction < 0. || fraction > 1. then invalid_arg "Fault.decay: fraction out of [0,1]"
   else begin

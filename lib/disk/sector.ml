@@ -20,16 +20,6 @@ type t = {
   value : Alto_machine.Word.t array;
 }
 
-let create () =
-  {
-    header = Array.make header_words Alto_machine.Word.zero;
-    label = Array.make label_words Alto_machine.Word.zero;
-    value = Array.make value_words Alto_machine.Word.zero;
-  }
-
-let copy s =
-  { header = Array.copy s.header; label = Array.copy s.label; value = Array.copy s.value }
-
 let part_of s = function
   | Header -> s.header
   | Label -> s.label

@@ -6,8 +6,8 @@
       next link, previous link — interpreted by the file system layer;
     - a {e value}: the 256 data words.
 
-    This module fixes those sizes and provides raw sector storage. The
-    disk layer treats all three parts as opaque word arrays; giving the
+    This module fixes those sizes and the shape of a sector's contents.
+    The disk layer treats all three parts as opaque words; giving the
     words meaning is the file system's business, which is how the paper
     gets a disk format "standardized at a level below any of the
     software". *)
@@ -34,13 +34,7 @@ type t = {
   label : Alto_machine.Word.t array;
   value : Alto_machine.Word.t array;
 }
-(** Live storage for one sector; the arrays are mutated in place by disk
-    transfers. *)
-
-val create : unit -> t
-(** A factory-fresh sector, all parts zeroed. *)
-
-val copy : t -> t
+(** One sector's contents, as {!Drive.peek} copies them off the platter. *)
 
 val part_of : t -> part -> Alto_machine.Word.t array
-(** The live array backing a part. *)
+(** The array holding a part. *)

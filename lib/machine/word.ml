@@ -55,6 +55,16 @@ let string_of_words ws ~len =
         let w = ws.(i / 2) in
         Char.chr (if i mod 2 = 0 then high_byte w else low_byte w))
 
+let blit_from_bytes b off ws pos n =
+  for i = 0 to n - 1 do
+    ws.(pos + i) <- Bytes.get_uint16_be b (off + (2 * i))
+  done
+
+let blit_to_bytes ws pos b off n =
+  for i = 0 to n - 1 do
+    Bytes.set_uint16_be b (off + (2 * i)) ws.(pos + i)
+  done
+
 let equal (a : int) b = a = b
 let compare (a : int) b = Stdlib.compare a b
 let hash (w : int) = Hashtbl.hash w

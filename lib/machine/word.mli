@@ -70,6 +70,16 @@ val string_of_words : t array -> len:int -> string
     Raises [Invalid_argument] if [len] exceeds [2 * Array.length ws] or is
     negative. *)
 
+val blit_from_bytes : Bytes.t -> int -> t array -> int -> int -> unit
+(** [blit_from_bytes b off ws pos n] sets [ws.(pos + i)] to the word
+    stored high byte first at [b.[off + 2i]], for [i < n]. Raises
+    [Invalid_argument] when either range is out of bounds. *)
+
+val blit_to_bytes : t array -> int -> Bytes.t -> int -> int -> unit
+(** [blit_to_bytes ws pos b off n] stores [ws.(pos + i)] high byte
+    first at [b.[off + 2i]], for [i < n]: the inverse of
+    {!blit_from_bytes}. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

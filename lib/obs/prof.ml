@@ -183,19 +183,21 @@ let rec node_json s =
 let to_json () = node_json (tree ())
 
 let pp_node fmt ~depth s =
-  Format.fprintf fmt "%s%-*s %6d calls  total %10d us  self %10d us  disk %d/%d/%d/%d@."
-    (String.make (2 * depth) ' ')
-    (max 1 (36 - (2 * depth)))
-    s.name s.calls s.total_us s.self_us s.seek_us s.rotation_us s.transfer_us
-    s.retry_us
+  let indent = String.make (2 * depth) ' ' and width = max 1 (32 - (2 * depth)) in
+  Format.fprintf fmt "%s%-*s %6dx total %9dus self %9dus" indent width s.name s.calls
+    s.total_us s.self_us;
+  if disk_us s > 0 then
+    Format.fprintf fmt "  disk seek %d rot %d xfer %d retry %d" s.seek_us s.rotation_us
+      s.transfer_us s.retry_us;
+  Format.fprintf fmt "@."
 
 let pp ?top fmt () =
   let t = tree () in
   let rec walk depth s =
-    if depth > 0 then pp_node fmt ~depth:(depth - 1) s;
+    pp_node fmt ~depth s;
     List.iter (walk (depth + 1)) s.children
   in
-  walk 0 t;
+  List.iter (walk 0) t.children;
   match top with
   | None -> ()
   | Some n ->
@@ -205,5 +207,8 @@ let pp ?top fmt () =
         |> List.sort (fun a b -> compare b.self_us a.self_us)
         |> List.filteri (fun i _ -> i < n)
       in
-      Format.fprintf fmt "top %d by self time:@." n;
-      List.iter (fun s -> pp_node fmt ~depth:0 s) hot
+      Format.fprintf fmt "top %d by self time:@." (List.length hot);
+      List.iter
+        (fun s ->
+          Format.fprintf fmt "%-32s %9dus self (%d calls)@." s.name s.self_us s.calls)
+        hot

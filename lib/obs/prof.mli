@@ -95,8 +95,10 @@ val disk_totals : unit -> disk_totals
 val to_json : unit -> Json.t
 
 val pp : ?top:int -> Format.formatter -> unit -> unit
-(** The tree, indented; with [~top:n] also the [n] hottest spans by
-    self time. *)
+(** The tree, indented, one line per span: calls, total and self time,
+    and the disk seek / rotation / transfer / retry components when the
+    span has disk time. With [~top:n] also the [n] hottest spans by self
+    time. The executive's [profile] command prints this. *)
 
 val reset : unit -> unit
 (** Drop the tree and any open spans. Called by {!Obs.reset}. *)

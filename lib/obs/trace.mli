@@ -27,8 +27,8 @@
     disk-parked → sweep-served → replied), per-trace disk component
     totals, and an exact queue-wait account: {!parked} stamps the
     moment a request's batch joins the standing queue, {!served} the
-    moment the sweep first reaches it. Completed traces are retained in
-    a bounded ring ({!set_retention}) for the executive's [requests]
+    moment the sweep first reaches it. Open traces and the 1024 most
+    recent completed ones are retained for the executive's [requests]
     command, the flight recorder, and the Chrome [trace_event] export;
     the attribution accumulators are exact regardless of eviction. *)
 
@@ -159,17 +159,12 @@ val infos : unit -> info list
 
 val active_count : unit -> int
 
-val set_retention : int -> unit
-(** Bound the finished-trace ring (default 1024), trimming the oldest
-    now if needed. Open traces are never evicted. Raises
-    [Invalid_argument] when not positive. *)
-
 val chrome_json : unit -> Json.t
 (** Every retained trace as Chrome [trace_event] JSON: one thread per
     trace (named by a metadata event), an "X" complete event per span
     with the disk/wait decomposition in [args], an "i" instant per
     mark. Loads directly in Chrome's trace viewer. *)
 
-val flight_json : ?limit:int -> unit -> Json.t
-(** For the flight recorder: every open trace plus the most recent
-    [limit] (default 8) closed ones, oldest first, as JSON objects. *)
+val flight_json : unit -> Json.t
+(** For the flight recorder: every open trace plus the 8 most recent
+    closed ones, oldest first, as JSON objects. *)

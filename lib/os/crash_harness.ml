@@ -12,7 +12,6 @@ module Cpu = Alto_machine.Cpu
 module Geometry = Alto_disk.Geometry
 module Drive = Alto_disk.Drive
 module Disk_address = Alto_disk.Disk_address
-module Fault = Alto_disk.Fault
 module Fs = Alto_fs.Fs
 module File = Alto_fs.File
 module Page = Alto_fs.Page
@@ -39,14 +38,6 @@ type totals = {
   mutable violations : int;  (** Broken invariants — must stay zero. *)
   mutable violation_log : string list;  (** Newest first, for the report. *)
 }
-
-let pp_totals fmt t =
-  Format.fprintf fmt
-    "@[<v>%d trials: %d crashed (%d torn), %d ran to completion@,\
-     %d dirty boots, %d flight adoptions@,\
-     %d bounded recoveries, %d scavenges; %d findings, %d violations@]"
-    t.trials t.crash_points t.torn_points t.completed t.dirty_boots
-    t.flight_adoptions t.bounded_recoveries t.scavenges t.findings t.violations
 
 (* {2 Expectations}
 
@@ -365,8 +356,7 @@ let patrol_workload =
           (fun (file, seed) ->
             if seed mod 2 = 0 then begin
               let addr = (ok_exn "page" (File.page_name file 1)).Page.addr in
-              Fault.make_marginal ~rate:0.7 ~growth:1.0 ~degrade_after:1000 drive
-                addr;
+              Drive.set_marginal drive addr ~rate:0.7 ~growth:1.0 ~degrade_after:1000;
               marginals := addr :: !marginals
             end)
           files;
@@ -387,7 +377,7 @@ let patrol_workload =
     w_mutate =
       (fun drive ->
         let fs = mount_exn drive in
-        let patrol = Patrol.create ~suspect_retries:1 fs in
+        let patrol = Patrol.create fs in
         let ticks = ref 0 in
         while Patrol.laps patrol < 1 && !ticks < 200 do
           ignore (Patrol.tick patrol);
@@ -527,13 +517,13 @@ let run_trial t (w : workload) ~point ~tear =
   t.trials <- t.trials + 1;
   Flight.disable ();
   let drive, expects = w.w_build () in
-  Fault.crash_after_writes ?tear drive point;
+  Drive.set_crash_point drive ?tear ~after_writes:point ();
   let crashed =
     match w.w_mutate drive with
     | () -> false
     | exception Drive.Power_failure -> true
   in
-  Fault.cancel_crash drive;
+  Drive.clear_crash_point drive;
   w.w_after_crash drive;
   if crashed then begin
     t.crash_points <- t.crash_points + 1;
@@ -629,7 +619,7 @@ let measure (w : workload) =
   Flight.disable ();
   Drive.write_ops drive - before
 
-let run ?(points_per_workload = 15) ?(only = []) () =
+let run ?(points_per_workload = 15) () =
   let t =
     {
       trials = 0;
@@ -645,11 +635,6 @@ let run ?(points_per_workload = 15) ?(only = []) () =
       violation_log = [];
     }
   in
-  let selected =
-    match only with
-    | [] -> workloads
-    | names -> List.filter (fun w -> List.mem w.w_name names) workloads
-  in
   List.iter
     (fun w ->
       let writes = measure w in
@@ -661,5 +646,5 @@ let run ?(points_per_workload = 15) ?(only = []) () =
       for j = 0 to k - 1 do
         List.iter (fun tear -> run_trial t w ~point:(point j) ~tear) tears
       done)
-    selected;
+    workloads;
   t

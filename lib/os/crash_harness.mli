@@ -2,7 +2,7 @@
 
     §3.3 promises "recovery from crashes"; this module enumerates the
     crashes. Each trial builds a committed, sealed volume, arms
-    {!Alto_disk.Fault.crash_after_writes} so the machine dies at the Nth
+    {!Alto_disk.Drive.set_crash_point} so the machine dies at the Nth
     writing operation of a real metadata-mutating workload — cleanly, or
     tearing the fatal sector's label or value — then boots recovery
     ({!System.boot}'s dirty path: flight-record adoption, the bounded
@@ -35,11 +35,8 @@ type totals = {
   mutable violation_log : string list;  (** Newest first, for the report. *)
 }
 
-val pp_totals : Format.formatter -> totals -> unit
-
-val run : ?points_per_workload:int -> ?only:string list -> unit -> totals
+val run : ?points_per_workload:int -> unit -> totals
 (** Sweep [points_per_workload] (default 15) evenly spaced crash points
-    per workload, each in three variants: a clean between-sector crash,
-    a torn label, a torn value. [only] restricts to the named workloads
-    (["files"], ["bio-flush"], ["compactor"], ["patrol"], ["outload"]).
-    Leaves the flight recorder disarmed. *)
+    per workload (["files"], ["bio-flush"], ["compactor"], ["patrol"],
+    ["outload"]), each in three variants: a clean between-sector crash,
+    a torn label, a torn value. Leaves the flight recorder disarmed. *)

@@ -386,39 +386,11 @@ let cmd_health system =
 (* Where the simulated time went, charged to the operation that caused
    it: the causal span tree, then the hottest spans by self time. *)
 let cmd_profile system n =
-  let root = Prof.tree () in
-  if root.Prof.children = [] then say system "profile: no spans recorded"
-  else begin
-    let line depth (s : Prof.snapshot) =
-      let indent = String.make (2 * depth) ' ' in
-      let width = max 1 (32 - (2 * depth)) in
-      if Prof.disk_us s = 0 then
-        say system "%s%-*s %6dx total %9dus self %9dus" indent width s.Prof.name
-          s.Prof.calls s.Prof.total_us s.Prof.self_us
-      else
-        say system
-          "%s%-*s %6dx total %9dus self %9dus  disk seek %d rot %d xfer %d retry %d"
-          indent width s.Prof.name s.Prof.calls s.Prof.total_us s.Prof.self_us
-          s.Prof.seek_us s.Prof.rotation_us s.Prof.transfer_us s.Prof.retry_us
-    in
-    let rec walk depth s =
-      line depth s;
-      List.iter (walk (depth + 1)) s.Prof.children
-    in
-    List.iter (walk 0) root.Prof.children;
-    let hot =
-      Prof.flatten root
-      |> List.filter (fun (s : Prof.snapshot) -> s.Prof.name <> "root")
-      |> List.sort (fun (a : Prof.snapshot) b -> compare b.Prof.self_us a.Prof.self_us)
-      |> List.filteri (fun i _ -> i < n)
-    in
-    say system "top %d by self time:" (List.length hot);
-    List.iter
-      (fun (s : Prof.snapshot) ->
-        say system "%-32s %9dus self (%d calls)" s.Prof.name s.Prof.self_us
-          s.Prof.calls)
-      hot
-  end
+  if (Prof.tree ()).Prof.children = [] then say system "profile: no spans recorded"
+  else
+    Format.asprintf "%a" (Prof.pp ~top:n) ()
+    |> String.split_on_char '\n'
+    |> List.iter (fun line -> if line <> "" then say system "%s" line)
 
 (* The hottest histograms: every operation's latency distribution at a
    glance, heaviest total time first. *)

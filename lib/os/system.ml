@@ -114,7 +114,7 @@ let counter_junta t =
 
 (* {2 Boot} *)
 
-let boot ?(geometry = Geometry.diablo_31) ?drive ?(finish_recovery_lap = true) () =
+let boot ?(geometry = Geometry.diablo_31) ?drive () =
   let drive = match drive with Some d -> d | None -> Drive.create ~pack_id:1 geometry in
   (* An unmountable pack is wreckage, not a blank: scavenge rebuilds the
      descriptor from the labels (§3.6's last rung) before boot is allowed
@@ -140,8 +140,7 @@ let boot ?(geometry = Geometry.diablo_31) ?drive ?(finish_recovery_lap = true) (
     if not (Fs.dirty fs) then 0
     else begin
       ignore (Flight.adopt fs : string option);
-      let recovery = Patrol.recover fs in
-      if finish_recovery_lap then recovery.Patrol.resumed_at else 0
+      (Patrol.recover fs).Patrol.resumed_at
     end
   in
   let memory = Memory.create () in

@@ -77,17 +77,17 @@ val user_base : int
 (** 1024: where the loader places program code; below it live page zero,
     the message area, and the command-line words. *)
 
-val boot : ?geometry:Geometry.t -> ?drive:Drive.t -> ?finish_recovery_lap:bool -> unit -> t
+val boot : ?geometry:Geometry.t -> ?drive:Drive.t -> unit -> t
 (** Bring the system up: mount the pack (formatting a virgin one), arm
     the flight recorder ({!Alto_fs.Flight.enable}), re-enter any spilled
     bad-sector verdicts ({!Alto_fs.Bad_sectors}), and — if the pack
     mounted dirty — adopt the previous incarnation's flight record and
     run the bounded crash-recovery scan ({!Alto_fs.Patrol.recover});
     then lay the thirteen levels into the top of memory and initialize
-    the system free-storage zone. [finish_recovery_lap] (default [true])
-    makes the session's patrol scan the head region the recovery skipped
-    at double rate, so the completeness lap finishes within one lap of
-    idle ticks instead of lazily. *)
+    the system free-storage zone. After a recovery the session's patrol
+    scans the head region the recovery skipped at double rate, so the
+    completeness lap finishes within one lap of idle ticks instead of
+    lazily. *)
 
 val memory : t -> Memory.t
 val cpu : t -> Cpu.t

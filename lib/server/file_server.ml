@@ -55,13 +55,13 @@ type t = {
   mutable send_errors : int;
 }
 
-let create ?(max_active = 16) ?(step_us = 50) fs station =
+let create ?(max_active = 16) fs station =
   let clock = Fs.clock fs in
   {
     fs;
     station;
     clock;
-    acts = Activity.create ~step_us ~max_active ~queue:(Sched.create (Fs.drive fs)) clock;
+    acts = Activity.create ~max_active ~queue:(Sched.create (Fs.drive fs)) clock;
     gets = 0;
     puts = 0;
     lists = 0;
@@ -321,22 +321,12 @@ let admit_one t =
 
 (* {2 Driving the server} *)
 
-let busy t = Net.pending t.station > 0 || not (Activity.idle t.acts)
-
 let tick t =
   let admitted = ref 0 in
   while Net.pending t.station > 0 do
     if admit_one t then incr admitted
   done;
   !admitted + Activity.round t.acts
-
-let step t =
-  if not (busy t) then false
-  else begin
-    ignore (admit_one t : bool);
-    Activity.run_until_idle t.acts;
-    true
-  end
 
 let serve_pending t =
   let served = ref 0 in

@@ -34,19 +34,10 @@ module Fs = Alto_fs.Fs
 type node
 type fleet
 
-val create :
-  ?slice:int ->
-  ?timeout_us:int ->
-  ?max_attempts:int ->
-  ?step_us:int ->
-  clock:Sim_clock.t ->
-  Net.t ->
-  fleet
-(** An empty fleet on [net]. [slice] (default 24, max 32 — the repair
-    mask is one doubleword) sectors are audited per exchange;
-    [timeout_us] (default 500ms) is the first deadline, doubled per
-    retry up to [max_attempts] (default 8); [step_us] (default 50) is
-    the quantum one {!tick} charges to the shared clock. *)
+val create : clock:Sim_clock.t -> Net.t -> fleet
+(** An empty fleet on the net. Each exchange audits 24 sectors; its
+    first deadline is 500 ms, doubled per retry for up to 8 attempts;
+    one {!tick} charges 50 µs to the shared clock. *)
 
 val join :
   fleet -> name:string -> ?on_new_fs:(Fs.t -> unit) -> Fs.t -> node
@@ -65,9 +56,9 @@ val tick : node -> int
 val tick_fleet : fleet -> int
 (** One {!tick} per node, in join order. *)
 
-val run_until : fleet -> ?max_ticks:int -> (unit -> bool) -> bool
-(** Tick the fleet until the predicate holds or the budget (default
-    2M ticks) runs out; returns the predicate's final verdict. *)
+val run_until : fleet -> (unit -> bool) -> bool
+(** Tick the fleet until the predicate holds or 2M ticks have run;
+    returns the predicate's final verdict. *)
 
 val rejoin : node -> unit
 (** The node lost its pack: reformat the drive as a virgin volume and

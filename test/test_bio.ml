@@ -30,7 +30,8 @@ let ok pp = function
    tests can watch single sectors. *)
 let raw_bio ?tracks () =
   let drive = Drive.create ~pack_id:9 small_geometry in
-  let bio = Bio.create ?tracks drive in
+  let bio = Bio.create drive in
+  Option.iter (Bio.set_tracks bio) tracks;
   (drive, bio)
 
 let addr i = Disk_address.of_index i
@@ -115,6 +116,35 @@ let test_absorb_and_coalesced_flush () =
         (200 + s)
         (Word.to_int (Sector.part_of sec Sector.Value).(0)))
     [ 0; 3; 7; spt ]
+
+(* Two tracks of 12 sectors: the high-water mark is half of 24, so the
+   12th dirty sector triggers one full flush and no absorb before it
+   does. *)
+let test_high_water_flush () =
+  let drive, bio = raw_bio ~tracks:2 () in
+  let spt = (Drive.geometry drive).Geometry.sectors_per_track in
+  Alcotest.(check int) "a Diablo 31 track" 12 spt;
+  for s = 0 to (2 * spt) - 1 do
+    Drive.poke drive (addr s) Sector.Label (distinct_label 0x2000);
+    Drive.poke drive (addr s) Sector.Value (distinct_value 1)
+  done;
+  Bio.fill bio (addr 0);
+  Bio.fill bio (addr spt);
+  let sectors = List.init 6 Fun.id @ List.init 6 (fun s -> spt + s) in
+  let absorb s =
+    Alcotest.(check bool)
+      (Printf.sprintf "absorb %d" s)
+      true
+      (Bio.absorb bio (addr s) (distinct_value (300 + s)))
+  in
+  let flushes0 = counter "fs.bio.flushes" in
+  List.iteri (fun i s -> if i < 11 then absorb s) sectors;
+  Alcotest.(check int) "11 absorbs run no flush" flushes0 (counter "fs.bio.flushes");
+  Alcotest.(check int) "11 dirty sectors" 11 (Bio.dirty_sectors bio);
+  absorb (List.nth sectors 11);
+  Alcotest.(check int) "the 12th runs one flush" (flushes0 + 1)
+    (counter "fs.bio.flushes");
+  Alcotest.(check int) "clean after the flush" 0 (Bio.dirty_sectors bio)
 
 let test_generation_kills_buffered_sector () =
   let drive, bio = raw_bio () in
@@ -348,6 +378,7 @@ let () =
           ("a fill serves the whole track", `Quick, test_fill_serves_whole_track);
           ("a disabled cache is inert", `Quick, test_disabled_cache_is_inert);
           ("absorbed writes flush coalesced", `Quick, test_absorb_and_coalesced_flush);
+          ("high-water mark flushes once", `Quick, test_high_water_flush);
           ("generation bump kills the buffer", `Quick, test_generation_kills_buffered_sector);
           ("conflicted delayed write dropped", `Quick, test_conflicted_delayed_write_is_dropped);
           ("eviction flushes a dirty track", `Quick, test_eviction_flushes_dirty_track);

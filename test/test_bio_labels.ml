@@ -14,7 +14,6 @@ module Sector = Alto_disk.Sector
 module Disk_address = Alto_disk.Disk_address
 module Reliable = Alto_disk.Reliable
 module Sched = Alto_disk.Sched
-module Fault = Alto_disk.Fault
 module Obs = Alto_obs.Obs
 module Fs = Alto_fs.Fs
 module Bio = Alto_fs.Bio
@@ -40,7 +39,8 @@ let ok pp = function
    tests can watch single sectors. *)
 let raw_bio ?tracks () =
   let drive = Drive.create ~pack_id:9 small_geometry in
-  let bio = Bio.create ?tracks drive in
+  let bio = Bio.create drive in
+  Option.iter (Bio.set_tracks bio) tracks;
   (drive, bio)
 
 let addr i = Disk_address.of_index i
@@ -97,7 +97,7 @@ let test_retry_evidence_evicts () =
   (* Make the surface misread, then read through the ladder until a soft
      error actually trips: that retry evidence must kill the entry even
      though no label was written. *)
-  Fault.set_soft_errors drive ~seed:21 ~rate:0.9;
+  Drive.set_soft_errors drive ~seed:21 ~rate:0.9;
   let soft0 = counter "disk.soft_errors" in
   let tripped = ref false in
   for _ = 1 to 20 do
@@ -150,7 +150,7 @@ let test_no_stale_masking () =
   write_sector drive (addr 11) ~label:(Label.to_words label) ~value:(zero_value ());
   let fn = Page.full_name fid ~page:0 ~addr:(addr 11) in
   ignore (page_ok "prime" (Page.read_label ~bio drive fn) : Label.t);
-  Fault.make_bad drive (addr 11);
+  Drive.set_bad drive (addr 11) true;
   match Page.read_label ~bio drive fn with
   | Error (Page.Hint_failed Drive.Bad_sector) -> ()
   | Ok _ -> Alcotest.fail "a remembered label masked a bad sector"
@@ -164,7 +164,7 @@ let test_no_stale_masking () =
 let test_relocation_bumps_both_generations () =
   let drive, fs = small_volume () in
   let bio = Fs.bio fs in
-  Fault.set_soft_errors drive ~seed:11 ~rate:0.0;
+  Drive.set_soft_errors drive ~seed:11 ~rate:0.0;
   let file = file_with fs ~name:"Moving.dat" ~bytes:700 in
   let fn = ok File.pp_error (File.page_name file 1) in
   let src = fn.Page.addr in
@@ -173,8 +173,8 @@ let test_relocation_bumps_both_generations () =
   let gens_before =
     Array.init (Drive.sector_count drive) (fun i -> Drive.label_generation drive (addr i))
   in
-  Fault.make_marginal drive src ~rate:0.8 ~growth:1.0 ~degrade_after:50;
-  let patrol = Patrol.create ~suspect_retries:1 fs in
+  Drive.set_marginal drive src ~rate:0.8 ~growth:1.0 ~degrade_after:50;
+  let patrol = Patrol.create fs in
   let budget = ref 60 in
   while Patrol.relocated patrol < 1 && !budget > 0 do
     ignore (Patrol.tick patrol : Patrol.report);
@@ -295,7 +295,14 @@ let test_cached_run_matches_uncached () =
   let fn pn = Page.full_name fid ~page:pn ~addr:(page_addr pn) in
   let run tracks =
     let drive = Drive.create ~pack_id:3 small_geometry in
-    let bio = Option.map (fun tracks -> Bio.create ~tracks drive) tracks in
+    let bio =
+      Option.map
+        (fun tracks ->
+          let bio = Bio.create drive in
+          Bio.set_tracks bio tracks;
+          bio)
+        tracks
+    in
     for pn = 0 to pages - 1 do
       write_sector drive (page_addr pn) ~label:(Label.to_words (page_label pn))
         ~value:(page_value 0 pn)

@@ -252,7 +252,7 @@ let torn_sectors drive =
 
 let test_clean_crash_point_tears_nothing () =
   let drive, fs = committed_with_pending_overwrite () in
-  Fault.crash_after_writes drive 0;
+  Drive.set_crash_point drive ~after_writes:0 ();
   Alcotest.(check bool) "armed" true (Drive.crash_pending drive);
   (match Fs.flush fs with
   | Ok () | Error _ -> Alcotest.fail "expected a power failure"
@@ -262,18 +262,18 @@ let test_clean_crash_point_tears_nothing () =
 
 let test_cancelled_crash_point_never_fires () =
   let drive, fs = committed_with_pending_overwrite () in
-  Fault.crash_after_writes ~tear:Drive.Torn_value drive 3;
-  Fault.cancel_crash drive;
+  Drive.set_crash_point drive ~tear:Drive.Torn_value ~after_writes:3 ();
+  Drive.clear_crash_point drive;
   (match Fs.flush fs with Ok () -> () | Error _ -> Alcotest.fail "flush");
   Alcotest.(check (list int)) "no sector torn" [] (torn_sectors drive)
 
 let test_torn_sector_fails_until_rewritten () =
   let drive, fs = committed_with_pending_overwrite () in
-  Fault.crash_after_writes ~tear:Drive.Torn_value drive 0;
+  Drive.set_crash_point drive ~tear:Drive.Torn_value ~after_writes:0 ();
   (match Fs.flush fs with
   | Ok () | Error _ -> Alcotest.fail "expected a power failure"
   | exception Drive.Power_failure -> ());
-  Fault.cancel_crash drive;
+  Drive.clear_crash_point drive;
   let addr =
     match torn_sectors drive with
     | [ i ] -> Disk_address.of_index i

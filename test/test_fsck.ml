@@ -123,11 +123,11 @@ let test_torn_page_detected_then_scavenge () =
   (match File.write_bytes f3 ~pos:0 (pattern 77 (600 + (3 * 300))) with
   | Ok () -> ()
   | Error _ -> failwith "overwrite");
-  Fault.crash_after_writes ~tear:Drive.Torn_value drive 0;
+  Drive.set_crash_point drive ~tear:Drive.Torn_value ~after_writes:0 ();
   (match Fs.flush fs with
   | Ok () | Error _ -> Alcotest.fail "expected a power failure"
   | exception Drive.Power_failure -> ());
-  Fault.cancel_crash drive;
+  Drive.clear_crash_point drive;
   let torn = ref 0 in
   for i = 0 to Drive.sector_count drive - 1 do
     if Drive.is_torn drive (Disk_address.of_index i) then incr torn
@@ -165,7 +165,7 @@ let test_rebuilt_root_is_catalogued () =
      checker must take the root the descriptor names, not the constant
      root id, or it calls the new root an orphan. *)
   let drive, fs, _, _ = build () in
-  Fault.make_value_unreadable drive (root_leader fs);
+  Drive.set_value_unreadable drive (root_leader fs) true;
   match Scavenger.scavenge drive with
   | Error msg -> Alcotest.failf "scavenge: %s" msg
   | Ok (_, report) ->
@@ -180,7 +180,7 @@ let test_unreadable_descriptor_fails_the_scavenge () =
      scavenge must say so, not return a pack that fails to mount. *)
   let drive, _, _, _ = build () in
   let leader = Disk_address.of_index 1 in
-  Fault.make_value_unreadable drive leader;
+  Drive.set_value_unreadable drive leader true;
   (match Scavenger.scavenge ~verify_values:true drive with
   | Ok _ -> Alcotest.fail "scavenge returned Ok on a pack that cannot mount"
   | Error _ -> ());

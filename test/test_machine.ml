@@ -38,6 +38,19 @@ let test_string_roundtrip () =
   check "ab";
   check "hello, alto!"
 
+let test_bytes_blit () =
+  let ws = [| Word.of_int 0xABCD; Word.of_int 0x0102; Word.of_int 0xFFFF |] in
+  let b = Bytes.make 8 '\000' in
+  Word.blit_to_bytes ws 1 b 2 2;
+  Alcotest.(check string) "high byte first" "\000\000\001\002\255\255\000\000" (Bytes.to_string b);
+  let back = Array.make 3 Word.zero in
+  Word.blit_from_bytes b 2 back 0 2;
+  Alcotest.(check (array int)) "roundtrip" [| 0x0102; 0xFFFF; 0 |] (Array.map Word.to_int back);
+  Alcotest.(check int) "agrees with of_char_pair" (Word.to_int (Word.of_char_pair '\001' '\002'))
+    (Word.to_int back.(0));
+  Alcotest.check_raises "past the end" (Invalid_argument "index out of bounds") (fun () ->
+      Word.blit_from_bytes b 6 back 0 2)
+
 let prop_string_roundtrip =
   QCheck.Test.make ~name:"words_of_string roundtrips" ~count:200
     QCheck.(string_of_size Gen.(0 -- 100))
@@ -314,6 +327,7 @@ let () =
           ("signed view", `Quick, test_word_signed);
           ("byte packing", `Quick, test_word_bytes);
           ("string packing", `Quick, test_string_roundtrip);
+          ("bytes blit", `Quick, test_bytes_blit);
         ]
         @ qcheck [ prop_string_roundtrip; prop_word_add_commutes ] );
       ( "memory",

@@ -10,7 +10,6 @@ module Geometry = Alto_disk.Geometry
 module Disk_address = Alto_disk.Disk_address
 module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
-module Fault = Alto_disk.Fault
 module Fs = Alto_fs.Fs
 module File = Alto_fs.File
 module Directory = Alto_fs.Directory
@@ -32,7 +31,7 @@ let make_volume ?(geometry = tiny) ?(seed = 42) () =
   let fs = Fs.format drive in
   (* Seed the drive's fault PRNG without enabling base soft errors, so
      marginal-sector draws are reproducible. *)
-  Fault.set_soft_errors drive ~seed ~rate:0.0;
+  Drive.set_soft_errors drive ~seed ~rate:0.0;
   (drive, fs)
 
 let create_file fs name content =
@@ -105,8 +104,8 @@ let test_marginal_page_relocated () =
   let content = String.init 900 (fun i -> Char.chr (33 + (i mod 90))) in
   let file = create_file fs "Victim.dat" content in
   let victim = page_addr file 1 in
-  Fault.make_marginal drive victim ~rate:0.8 ~growth:1.0 ~degrade_after:50;
-  let patrol = Patrol.create ~suspect_retries:1 fs in
+  Drive.set_marginal drive victim ~rate:0.8 ~growth:1.0 ~degrade_after:50;
+  let patrol = Patrol.create fs in
   sweep_until patrol ~relocations:1;
   Alcotest.(check bool) "caught before the sector went hard-bad" false
     (Drive.is_bad drive victim);
@@ -141,8 +140,8 @@ let test_leader_relocation_fixes_catalogue () =
   let content = "the leader of this file lives on a dying sector" in
   let file = create_file fs "Leader.dat" content in
   let old_leader = (File.leader_name file).Page.addr in
-  Fault.make_marginal drive old_leader ~rate:0.8 ~growth:1.0 ~degrade_after:50;
-  let patrol = Patrol.create ~suspect_retries:1 fs in
+  Drive.set_marginal drive old_leader ~rate:0.8 ~growth:1.0 ~degrade_after:50;
+  let patrol = Patrol.create fs in
   sweep_until patrol ~relocations:1;
   let fresh, entry_addr = open_by_name fs "Leader.dat" in
   Alcotest.(check bool) "the catalogue entry follows the move" true
@@ -157,9 +156,9 @@ let test_deterministic_under_seed () =
     let drive, fs = make_volume ~seed:77 () in
     let _ = create_file fs "A.dat" (String.make 1400 'a') in
     let b = create_file fs "B.dat" (String.make 900 'b') in
-    Fault.make_marginal drive (page_addr b 1) ~rate:0.7 ~growth:1.0
+    Drive.set_marginal drive (page_addr b 1) ~rate:0.7 ~growth:1.0
       ~degrade_after:60;
-    let patrol = Patrol.create ~suspect_retries:1 fs in
+    let patrol = Patrol.create fs in
     for _ = 1 to 12 do
       ignore (Patrol.tick patrol : Patrol.report)
     done;

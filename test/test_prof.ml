@@ -10,7 +10,6 @@ module Sim_clock = Alto_machine.Sim_clock
 module Geometry = Alto_disk.Geometry
 module Disk_address = Alto_disk.Disk_address
 module Drive = Alto_disk.Drive
-module Fault = Alto_disk.Fault
 module Reliable = Alto_disk.Reliable
 module Sector = Alto_disk.Sector
 module Fs = Alto_fs.Fs
@@ -187,7 +186,7 @@ let test_restores_balance_every_book () =
   fresh ();
   let drive = Drive.create ~pack_id:5 tiny in
   let clock = Drive.clock drive in
-  Fault.set_soft_errors drive ~seed:5 ~rate:0.8;
+  Drive.set_soft_errors drive ~seed:5 ~rate:0.8;
   let ctx = Trace.start ~clock ~origin:"test" ~name:"salvage" in
   Prof.span clock "salvage" (fun () ->
       Trace.with_current (Some ctx) (fun () ->
@@ -216,6 +215,35 @@ let test_restores_balance_every_book () =
   let a_s, a_r, a_x = Trace.attributed () in
   let u_s, u_r, u_x = Trace.untraced () in
   Alcotest.(check int) "tracer vs disk counters" motion (a_s + a_r + a_x + u_s + u_r + u_x)
+
+(* The executive's [profile] prints {!Prof.pp}: the tree, then the
+   hottest spans by self time. *)
+let test_profile_command_prints_the_tree () =
+  fresh ();
+  let system = System.boot ~drive:(Drive.create ~pack_id:8 tiny) () in
+  Keyboard.feed (System.keyboard system) "scavenge\nprofile 3\nquit\n";
+  let (_ : Executive.outcome) = Executive.run system in
+  let lines = Display.lines (System.display system) in
+  let starts_with prefix line =
+    String.length line >= String.length prefix
+    && String.sub line 0 (String.length prefix) = prefix
+  in
+  let rec split seen = function
+    | [] -> Alcotest.fail "no \"top 3 by self time:\" line"
+    | line :: rest when starts_with "top 3 by self time:" line -> (seen, rest)
+    | line :: rest ->
+        let node = starts_with "scavenger." (String.trim line) && contains line "x total" in
+        split (seen || node) rest
+  in
+  let scavenger_seen, rows = split false lines in
+  Alcotest.(check bool) "a scavenger. node precedes the top list" true scavenger_seen;
+  match rows with
+  | a :: b :: c :: _ ->
+      List.iter
+        (fun row ->
+          if not (contains row "us self (") then Alcotest.failf "not a top row: %S" row)
+        [ a; b; c ]
+  | _ -> Alcotest.failf "fewer than three top rows"
 
 (* {2 The flight recorder} *)
 
@@ -290,7 +318,7 @@ let test_fixed_seed_runs_are_identical () =
     Flight.enable ();
     let drive = Drive.create ~pack_id:11 tiny in
     let fs = Fs.format drive in
-    Fault.set_soft_errors drive ~seed:77 ~rate:0.0;
+    Drive.set_soft_errors drive ~seed:77 ~rate:0.0;
     let clock = Fs.clock fs in
     Obs.time clock "run.session_us" (fun () ->
         let a = create_file fs "A.dat" (String.make 700 'a') in
@@ -327,6 +355,7 @@ let () =
           ("retry motion files under retry", `Quick, test_retry_motion_files_under_retry);
           ("charges balance the counters", `Quick, test_disk_charges_balance_the_counters);
           ("restores balance every book", `Quick, test_restores_balance_every_book);
+          ("profile prints the tree", `Quick, test_profile_command_prints_the_tree);
         ] );
       ( "flight",
         [

@@ -201,7 +201,7 @@ let test_bad_sectors_quarantined () =
   let drive, fs = fresh_fs () in
   ignore fs;
   let bad = Disk_address.of_index 100 in
-  Fault.make_bad drive bad;
+  Drive.set_bad drive bad true;
   let fs', report = scavenge_ok drive in
   Alcotest.(check bool) "bad counted" true (report.Scavenger.bad_sectors >= 1);
   Alcotest.(check bool) "never allocatable" false (Fs.is_free_in_map fs' bad)
@@ -216,7 +216,7 @@ let test_value_verification_marks_bad_pages () =
   let root = dir_ok "root" (Directory.open_root fs) in
   let file = make_file fs root "Surface.dat" 2000 12 in
   let victim = file_ok "page" (File.page_name file 2) in
-  Fault.make_value_unreadable drive victim.Page.addr;
+  Drive.set_value_unreadable drive victim.Page.addr true;
   (* Without verification the damage goes unnoticed by the scavenger... *)
   let _, blind = scavenge_ok drive in
   Alcotest.(check int) "blind scavenge sees nothing" 0 blind.Scavenger.pages_marked_bad;
@@ -587,8 +587,8 @@ let strike rng drive ~descriptor_top (kind, a, b) =
   match kind with
   | 0 -> Fault.corrupt_part rng drive addr Sector.Label; false
   | 1 -> Fault.corrupt_part rng drive addr Sector.Value; false
-  | 2 -> Fault.make_value_unreadable drive addr; on_descriptor
-  | 3 -> Fault.make_bad drive addr; on_descriptor
+  | 2 -> Drive.set_value_unreadable drive addr true; on_descriptor
+  | 3 -> Drive.set_bad drive addr true; on_descriptor
   | _ ->
       let live =
         List.filter

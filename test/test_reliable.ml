@@ -10,7 +10,6 @@ module Disk_address = Alto_disk.Disk_address
 module Sector = Alto_disk.Sector
 module Drive = Alto_disk.Drive
 module Reliable = Alto_disk.Reliable
-module Fault = Alto_disk.Fault
 module Fs = Alto_fs.Fs
 module File = Alto_fs.File
 module Label = Alto_fs.Label
@@ -57,7 +56,7 @@ let test_transient_recovery () =
   let drive = make_drive () in
   let want = Array.init Sector.value_words (fun i -> Word.of_int (i land 0xFFFF)) in
   write_sector drive (addr 5) ~label:(label_buf ()) ~value:want;
-  Fault.set_soft_errors drive ~seed:42 ~rate:0.4;
+  Drive.set_soft_errors drive ~seed:42 ~rate:0.4;
   let soft0 = counter "disk.soft_errors" in
   let retries0 = counter "disk.retries" in
   let recovered0 = counter "disk.retry_recovered" in
@@ -75,7 +74,7 @@ let test_transient_recovery () =
 
 let test_writes_never_transient () =
   let drive = make_drive () in
-  Fault.set_soft_errors drive ~seed:7 ~rate:1.0;
+  Drive.set_soft_errors drive ~seed:7 ~rate:1.0;
   let soft0 = counter "disk.soft_errors" in
   (* Write-only operations draw no soft errors even at rate 1.0. *)
   for i = 0 to 11 do
@@ -85,7 +84,7 @@ let test_writes_never_transient () =
 
 let test_hard_errors_not_retried () =
   let drive = make_drive () in
-  Fault.make_bad drive (addr 4);
+  Drive.set_bad drive (addr 4) true;
   let result, retries =
     let value = value_buf () in
     Reliable.run_counted drive (addr 4)
@@ -110,7 +109,7 @@ let test_determinism () =
     for i = 0 to Drive.sector_count drive - 1 do
       write_sector drive (addr i) ~label:(label_buf ()) ~value
     done;
-    Fault.set_soft_errors drive ~seed:1234 ~rate:0.3;
+    Drive.set_soft_errors drive ~seed:1234 ~rate:0.3;
     let soft0 = counter "disk.soft_errors" in
     let retries =
       List.init (Drive.sector_count drive) (fun i ->
@@ -144,7 +143,7 @@ let test_determinism () =
 let test_marginal_degrades () =
   let drive = make_drive () in
   write_sector drive (addr 9) ~label:(label_buf ()) ~value:(value_buf ());
-  Fault.make_marginal ~rate:1.0 ~growth:1.0 ~degrade_after:3 drive (addr 9);
+  Drive.set_marginal drive (addr 9) ~rate:1.0 ~growth:1.0 ~degrade_after:3;
   Alcotest.(check bool) "marginal" true (Drive.is_marginal drive (addr 9));
   (* Every value read fails; after 3 failures the sector is hard-bad. *)
   (match read_value ~policy:Reliable.salvage_policy drive (addr 9) with
@@ -166,7 +165,7 @@ let test_marginal_degrades () =
 let test_retry_exhaustion () =
   let drive = make_drive () in
   write_sector drive (addr 2) ~label:(label_buf ()) ~value:(value_buf ());
-  Fault.make_marginal ~rate:1.0 ~growth:1.0 ~degrade_after:1_000 drive (addr 2);
+  Drive.set_marginal drive (addr 2) ~rate:1.0 ~growth:1.0 ~degrade_after:1_000;
   let exhausted0 = counter "disk.retry_exhausted" in
   let result, retries =
     Reliable.run_counted drive (addr 2)
@@ -278,7 +277,7 @@ let test_scavenger_rescues_marginal () =
   in
   Alcotest.(check bool) "have victims" true (List.length victims >= 3);
   List.iter
-    (fun a -> Fault.make_marginal ~rate:0.8 ~growth:1.0 ~degrade_after:1_000 drive a)
+    (fun a -> Drive.set_marginal drive a ~rate:0.8 ~growth:1.0 ~degrade_after:1_000)
     victims;
   match Scavenger.scavenge ~verify_values:true ~suspect_retries:1 drive with
   | Error msg -> Alcotest.failf "scavenge: %s" msg
@@ -322,7 +321,7 @@ let test_scavenger_rescues_marginal () =
 let test_fs_traffic_under_soak () =
   let drive = make_drive ~geometry:{ tiny with Geometry.cylinders = 8 } () in
   let fs = Fs.format drive in
-  Fault.set_soft_errors drive ~seed:99 ~rate:0.05;
+  Drive.set_soft_errors drive ~seed:99 ~rate:0.05;
   let soft0 = counter "disk.soft_errors" in
   let exhausted0 = counter "disk.retry_exhausted" in
   let root =
