@@ -1899,10 +1899,11 @@ let e21 () =
     failwith "E21: no torn-sector variants fired";
   if t.Crash_harness.violations <> 0 then
     failwith "E21: a crash point broke a recovery invariant";
-  print_endline
-    "shape: most crash points boot straight through the bounded scan;\n\
-     the mid-move tears (compaction, relocation) escalate to one\n\
-     scavenge, and every committed page still reads back old-or-new."
+  Printf.printf
+    "shape: %d of %d trials recover through the bounded scan alone and %d\n\
+     escalate to one scavenge; every committed page still reads back\n\
+     old-or-new.\n"
+    t.Crash_harness.bounded_recoveries t.Crash_harness.trials t.Crash_harness.scavenges
 
 (* E22 — observability for everything E18 and E19 exercise: every
    request minted as a causal trace at the client, carried through

@@ -38,8 +38,16 @@ type slot = {
 }
 
 (* One remembered label: the 7-word image a check or read just verified,
-   and the generation captured at that moment. *)
-type remembered = { words : Word.t array; gen : int; mutable last : int }
+   and the generation captured at that moment. Entries sit on a ring in
+   recency order through a sentinel ([newer] of the sentinel is the
+   least recently used), so the victim is found without a scan. *)
+type remembered = {
+  index : int;
+  mutable words : Word.t array;
+  mutable gen : int;
+  mutable older : remembered;
+  mutable newer : remembered;
+}
 
 type t = {
   drive : Drive.t;
@@ -48,6 +56,7 @@ type t = {
   mutable high_water : int;  (* dirty sectors that trigger a full flush *)
   slots : (int, slot) Hashtbl.t;  (* keyed by track number *)
   label_table : (int, remembered) Hashtbl.t;  (* keyed by flat sector index *)
+  lru : remembered;  (* the ring's sentinel *)
   mutable tick : int;
   mutable dirty_count : int;
   mutable on_dirty : unit -> unit;
@@ -70,6 +79,9 @@ let create drive =
     high_water = high_water_of ~tracks ~spt;
     slots = Hashtbl.create tracks;
     label_table = Hashtbl.create label_capacity;
+    lru =
+      (let rec s = { index = -1; words = [||]; gen = 0; older = s; newer = s } in
+       s);
     tick = 0;
     dirty_count = 0;
     on_dirty = ignore;
@@ -96,26 +108,34 @@ let rel_of t index = index mod t.spt
 
 (* {2 Remembered labels} *)
 
+let unlink e =
+  e.older.newer <- e.newer;
+  e.newer.older <- e.older
+
+let push_newest t e =
+  e.older <- t.lru.older;
+  e.newer <- t.lru;
+  t.lru.older.newer <- e;
+  t.lru.older <- e
+
+let drop_label t e =
+  unlink e;
+  Hashtbl.remove t.label_table e.index
+
 let note_label t addr words =
   let i = Disk_address.to_index addr in
-  if (not (Hashtbl.mem t.label_table i)) && Hashtbl.length t.label_table >= label_capacity
-  then begin
-    let victim =
-      Hashtbl.fold
-        (fun i e acc ->
-          match acc with
-          | Some (_, best) when best.last <= e.last -> acc
-          | Some _ | None -> Some (i, e))
-        t.label_table None
-    in
-    Option.iter (fun (i, _) -> Hashtbl.remove t.label_table i) victim
-  end;
-  Hashtbl.replace t.label_table i
-    {
-      words = Array.copy words;
-      gen = Drive.label_generation t.drive addr;
-      last = next_tick t;
-    }
+  let words = Array.copy words and gen = Drive.label_generation t.drive addr in
+  match Hashtbl.find_opt t.label_table i with
+  | Some e ->
+      e.words <- words;
+      e.gen <- gen;
+      unlink e;
+      push_newest t e
+  | None ->
+      if Hashtbl.length t.label_table >= label_capacity then drop_label t t.lru.newer;
+      let e = { index = i; words; gen; older = t.lru; newer = t.lru } in
+      push_newest t e;
+      Hashtbl.add t.label_table i e
 
 (* The remembered label, if its generation is still live. A dead entry
    (the drive saw a label write, a quarantine or retry evidence since)
@@ -124,11 +144,12 @@ let remembered t addr =
   let i = Disk_address.to_index addr in
   match Hashtbl.find_opt t.label_table i with
   | Some e when e.gen = Drive.label_generation t.drive addr ->
-      e.last <- next_tick t;
+      unlink e;
+      push_newest t e;
       Obs.incr m_label_hits;
       Some e.words
-  | Some _ ->
-      Hashtbl.remove t.label_table i;
+  | Some e ->
+      drop_label t e;
       Obs.incr m_label_invalidations;
       Obs.incr m_label_misses;
       None
@@ -137,11 +158,11 @@ let remembered t addr =
       None
 
 let forget_label t addr =
-  let i = Disk_address.to_index addr in
-  if Hashtbl.mem t.label_table i then begin
-    Hashtbl.remove t.label_table i;
-    Obs.incr m_label_invalidations
-  end
+  match Hashtbl.find_opt t.label_table (Disk_address.to_index addr) with
+  | Some e ->
+      drop_label t e;
+      Obs.incr m_label_invalidations
+  | None -> ()
 
 (* {2 Write-back}
 
@@ -257,12 +278,13 @@ let evict_lru t =
         | Some _ | None -> Some (track, slot))
       t.slots None
   in
-  match victim with
-  | None -> ()
-  | Some (track, slot) ->
+  Option.map
+    (fun (track, slot) ->
       flush_slot t slot;
       Hashtbl.remove t.slots track;
-      Obs.incr m_evictions
+      Obs.incr m_evictions;
+      slot)
+    victim
 
 let fresh_slot t track =
   {
@@ -275,14 +297,26 @@ let fresh_slot t track =
     used = next_tick t;
   }
 
+(* The incoming track takes over the arrays of the buffer it evicted
+   (flushed, so nothing in it is dirty), as UNIX v4's [getblk] reuses
+   the buffer [brelse] freed: a fill allocates nothing once the cache
+   is warm. Callers copy out of {!lookup}/{!peek} at once, so no one
+   holds the old track's arrays across the fill that recycles them. *)
 let slot_for t track =
   match Hashtbl.find_opt t.slots track with
   | Some slot -> slot
   | None ->
+      let spare = ref None in
       while Hashtbl.length t.slots >= t.tracks do
-        evict_lru t
+        spare := evict_lru t
       done;
-      let slot = fresh_slot t track in
+      let slot =
+        match !spare with
+        | Some old ->
+            Array.fill old.valid 0 t.spt false;
+            { old with base = track * t.spt; used = next_tick t }
+        | None -> fresh_slot t track
+      in
       Hashtbl.add t.slots track slot;
       slot
 
@@ -427,6 +461,8 @@ let clear t =
   let n = Hashtbl.length t.label_table in
   if n > 0 then begin
     Hashtbl.reset t.label_table;
+    t.lru.older <- t.lru;
+    t.lru.newer <- t.lru;
     Obs.add m_label_invalidations n
   end;
   drop_tracks t
@@ -438,7 +474,7 @@ let set_tracks (t : t) n =
     if n = 0 then drop_tracks t
     else
       while Hashtbl.length t.slots > n do
-        evict_lru t
+        ignore (evict_lru t)
       done
   end;
   t.tracks <- n;

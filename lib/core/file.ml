@@ -328,13 +328,16 @@ let read_page t pn =
     if pn = t.last_page then t.last_length <- label.Label.length;
     Ok (value, label.Label.length)
 
+(* Pages move as whole words; only an odd leading byte (a low half)
+   or trailing byte (a high half) is handled by hand. *)
 let bytes_of_page value ~page_off ~len ~dst ~dst_off =
-  for j = 0 to len - 1 do
-    let b = page_off + j in
-    let w = value.(b / 2) in
-    Bytes.set dst (dst_off + j)
-      (Char.chr (if b mod 2 = 0 then Word.high_byte w else Word.low_byte w))
-  done
+  let lead = min len (page_off land 1) in
+  if lead = 1 then Bytes.set_uint8 dst dst_off (Word.low_byte value.(page_off / 2));
+  Word.blit_to_bytes value ((page_off + lead) / 2) dst (dst_off + lead)
+    ((len - lead) / 2);
+  if (len - lead) land 1 = 1 then
+    Bytes.set_uint8 dst (dst_off + len - 1)
+      (Word.high_byte value.((page_off + len - 1) / 2))
 
 let touch_written t =
   t.leader <- Leader.with_times t.leader ~written_s:(now t) ()
@@ -552,14 +555,21 @@ let finish_read p outcomes =
 
 (* {2 Writing} *)
 
+(* The inverse of [bytes_of_page]: whole words through the blit (which
+   only reads [s]), an odd end byte merged into its word by hand. *)
 let patch_page value ~page_off s ~s_off ~len =
-  for j = 0 to len - 1 do
-    let b = page_off + j in
+  let patch_byte b byte =
     let w = Word.to_int value.(b / 2) in
-    let byte = Char.code s.[s_off + j] in
-    let w' = if b mod 2 = 0 then (w land 0x00ff) lor (byte lsl 8) else (w land 0xff00) lor byte in
-    value.(b / 2) <- Word.of_int w'
-  done
+    value.(b / 2) <-
+      Word.of_int
+        (if b land 1 = 0 then (w land 0x00ff) lor (byte lsl 8) else (w land 0xff00) lor byte)
+  in
+  let lead = min len (page_off land 1) in
+  if lead = 1 then patch_byte page_off (Char.code s.[s_off]);
+  Word.blit_from_bytes (Bytes.unsafe_of_string s) (s_off + lead) value
+    ((page_off + lead) / 2) ((len - lead) / 2);
+  if (len - lead) land 1 = 1 then
+    patch_byte (page_off + len - 1) (Char.code s.[s_off + len - 1])
 
 let update_leader_last t =
   t.leader <- Leader.with_last t.leader ~last_page:t.last_page ~last_addr:(hint t t.last_page)
@@ -812,11 +822,9 @@ let read_words t ~pos ~len =
   match read_bytes t ~pos:(2 * pos) ~len:(2 * len) with
   | Error e -> Error e
   | Ok bytes ->
-      let nbytes = Bytes.length bytes in
-      let nwords = nbytes / 2 in
-      Ok
-        (Array.init nwords (fun i ->
-             Word.of_char_pair (Bytes.get bytes (2 * i)) (Bytes.get bytes ((2 * i) + 1))))
+      let ws = Array.make (Bytes.length bytes / 2) Word.zero in
+      Word.blit_from_bytes bytes 0 ws 0 (Array.length ws);
+      Ok ws
 
 let write_words t ~pos ws =
   write_bytes t ~pos:(2 * pos) (Word.string_of_words ws ~len:(2 * Array.length ws))

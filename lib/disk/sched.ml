@@ -49,7 +49,18 @@ let schedule geometry ~start keyed =
         let cylinder, head, sector = Disk_address.chs geometry addr in
         ((cylinder - start + cylinders) mod cylinders, head, sector, seq, i))
   in
-  Array.sort compare order;
+  (* Field by field: [seq] is unique, so [i] never decides. *)
+  Array.sort
+    (fun (r1, h1, s1, q1, _) (r2, h2, s2, q2, _) ->
+      let c = Int.compare r1 r2 in
+      if c <> 0 then c
+      else
+        let c = Int.compare h1 h2 in
+        if c <> 0 then c
+        else
+          let c = Int.compare s1 s2 in
+          if c <> 0 then c else Int.compare q1 q2)
+    order;
   order
 
 (* {2 The standing queue}
@@ -193,9 +204,13 @@ let sweep t =
             let slice = Array.sub order !pos (!stop - !pos) in
             Array.sort
               (fun (_, h1, s1, q1, _) (_, h2, s2, q2, _) ->
-                compare
-                  (h1, (s1 - catch + spt) mod spt, q1)
-                  (h2, (s2 - catch + spt) mod spt, q2))
+                let c = Int.compare h1 h2 in
+                if c <> 0 then c
+                else
+                  let c =
+                    Int.compare ((s1 - catch + spt) mod spt) ((s2 - catch + spt) mod spt)
+                  in
+                  if c <> 0 then c else Int.compare q1 q2)
               slice;
             Array.iter (fun (_, _, _, _, i) -> serve i) slice;
             let k = Array.length slice in

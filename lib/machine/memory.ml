@@ -1,6 +1,6 @@
 exception Invalid_address of int
 
-type t = { words : int array }
+type t = { words : Word.t array }
 
 let size = 65536
 
@@ -11,30 +11,28 @@ let check_range pos len =
   if len < 0 || pos < 0 || pos + len > size then
     raise (Invalid_address (if pos < 0 then pos else pos + len - 1))
 
-let create () = { words = Array.make size 0 }
+let create () = { words = Array.make size Word.zero }
 
 let read m addr =
   check_addr addr;
-  Word.of_int m.words.(addr)
+  m.words.(addr)
 
 let write m addr w =
   check_addr addr;
-  m.words.(addr) <- Word.to_int w
+  m.words.(addr) <- w
 
 let read_block m ~pos ~len =
   check_range pos len;
-  Array.init len (fun i -> Word.of_int m.words.(pos + i))
+  Array.sub m.words pos len
 
 let write_block m ~pos ws =
   let len = Array.length ws in
   check_range pos len;
-  for i = 0 to len - 1 do
-    m.words.(pos + i) <- Word.to_int ws.(i)
-  done
+  Array.blit ws 0 m.words pos len
 
 let fill m ~pos ~len w =
   check_range pos len;
-  Array.fill m.words pos len (Word.to_int w)
+  Array.fill m.words pos len w
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   check_range src_pos len;

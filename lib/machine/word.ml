@@ -39,22 +39,6 @@ let of_bytes ~high ~low =
 
 let of_char_pair c1 c2 = of_bytes ~high:(Char.code c1) ~low:(Char.code c2)
 
-let words_of_string s =
-  let n = String.length s in
-  let nwords = (n + 1) / 2 in
-  Array.init nwords (fun i ->
-      let high = Char.code s.[2 * i] in
-      let low = if (2 * i) + 1 < n then Char.code s.[(2 * i) + 1] else 0 in
-      of_bytes ~high ~low)
-
-let string_of_words ws ~len =
-  if len < 0 || len > 2 * Array.length ws then
-    invalid_arg "Word.string_of_words: bad length"
-  else
-    String.init len (fun i ->
-        let w = ws.(i / 2) in
-        Char.chr (if i mod 2 = 0 then high_byte w else low_byte w))
-
 let blit_from_bytes b off ws pos n =
   for i = 0 to n - 1 do
     ws.(pos + i) <- Bytes.get_uint16_be b (off + (2 * i))
@@ -64,6 +48,26 @@ let blit_to_bytes ws pos b off n =
   for i = 0 to n - 1 do
     Bytes.set_uint16_be b (off + (2 * i)) ws.(pos + i)
   done
+
+(* Whole words move through the blits; only an odd final byte is
+   handled by hand. [blit_from_bytes] only reads, so the string may be
+   viewed as bytes. *)
+let words_of_string s =
+  let n = String.length s in
+  let ws = Array.make ((n + 1) / 2) zero in
+  blit_from_bytes (Bytes.unsafe_of_string s) 0 ws 0 (n / 2);
+  if n land 1 = 1 then ws.(n / 2) <- Char.code s.[n - 1] lsl 8;
+  ws
+
+let string_of_words ws ~len =
+  if len < 0 || len > 2 * Array.length ws then
+    invalid_arg "Word.string_of_words: bad length"
+  else begin
+    let b = Bytes.create len in
+    blit_to_bytes ws 0 b 0 (len / 2);
+    if len land 1 = 1 then Bytes.set_uint8 b (len - 1) (high_byte ws.(len / 2));
+    Bytes.unsafe_to_string b
+  end
 
 let equal (a : int) b = a = b
 let compare (a : int) b = Stdlib.compare a b

@@ -36,12 +36,6 @@ let state_file_words = header_words + Memory.size
 let ( let* ) = Result.bind
 let file_err r = Result.map_error (fun e -> File_error e) r
 
-let string_of_word_array ws = Word.string_of_words ws ~len:(2 * Array.length ws)
-
-let words_of_bytes bytes ~pos ~nwords =
-  Array.init nwords (fun i ->
-      Word.of_char_pair (Bytes.get bytes (pos + (2 * i))) (Bytes.get bytes (pos + (2 * i) + 1)))
-
 let image_of ~registers memory =
   let header = Array.make header_words Word.zero in
   header.(0) <- Word.of_int magic;
@@ -53,14 +47,12 @@ let image_of ~registers memory =
   Array.concat [ header; Memory.read_block memory ~pos:0 ~len:Memory.size ]
 
 let write_image file image =
-  let data = string_of_word_array image in
+  let len = 2 * Array.length image in
   let* () =
     (* Trim any excess so the file is exactly one state image. *)
-    if File.byte_length file > String.length data then
-      file_err (File.truncate file ~len:(String.length data))
-    else Ok ()
+    if File.byte_length file > len then file_err (File.truncate file ~len) else Ok ()
   in
-  let* () = file_err (File.write_bytes file ~pos:0 data) in
+  let* () = file_err (File.write_words file ~pos:0 image) in
   file_err (File.flush_leader file)
 
 let timed_write_image ~span file image =
@@ -92,18 +84,15 @@ let emergency_out_load memory file =
     (image_of ~registers:(Array.make Cpu.register_count Word.zero) memory)
 
 let read_header file =
-  let* bytes = file_err (File.read_bytes file ~pos:0 ~len:(2 * header_words)) in
-  if Bytes.length bytes < 2 * header_words then Error (Bad_state "file too short")
-  else
-    let header = words_of_bytes bytes ~pos:0 ~nwords:header_words in
-    if Word.to_int header.(0) <> magic then Error (Bad_state "bad magic")
-    else if Word.to_int header.(1) <> version then Error (Bad_state "unknown version")
-    else if Word.to_int header.(2) <> Cpu.register_count then
-      Error (Bad_state "register file size mismatch")
-    else if
-      (Word.to_int header.(9) lsl 16) lor Word.to_int header.(10) <> Memory.size
-    then Error (Bad_state "memory size mismatch")
-    else Ok header
+  let* header = file_err (File.read_words file ~pos:0 ~len:header_words) in
+  if Array.length header < header_words then Error (Bad_state "file too short")
+  else if Word.to_int header.(0) <> magic then Error (Bad_state "bad magic")
+  else if Word.to_int header.(1) <> version then Error (Bad_state "unknown version")
+  else if Word.to_int header.(2) <> Cpu.register_count then
+    Error (Bad_state "register file size mismatch")
+  else if (Word.to_int header.(9) lsl 16) lor Word.to_int header.(10) <> Memory.size then
+    Error (Bad_state "memory size mismatch")
+  else Ok header
 
 let peek_registers file =
   let* header = read_header file in
@@ -115,14 +104,11 @@ let in_load cpu file ~message =
     Obs.incr m_inloads;
     Obs.time (file_clock file) "world.inload_us" @@ fun () ->
     let* _header = read_header file in
-    let* bytes =
-      file_err (File.read_bytes file ~pos:(2 * memory_offset) ~len:(2 * Memory.size))
-    in
-    if Bytes.length bytes < 2 * Memory.size then
-      Error (Bad_state "memory image truncated")
+    let* image = file_err (File.read_words file ~pos:memory_offset ~len:Memory.size) in
+    if Array.length image < Memory.size then Error (Bad_state "memory image truncated")
     else begin
       let memory = Cpu.memory cpu in
-      Memory.write_block memory ~pos:0 (words_of_bytes bytes ~pos:0 ~nwords:Memory.size);
+      Memory.write_block memory ~pos:0 image;
       let* registers = peek_registers file in
       Cpu.load_registers cpu registers;
       (* Deliver the message into the revived world. *)
@@ -144,11 +130,10 @@ let in_load cpu file ~message =
 let read_saved_memory file ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Memory.size then
     invalid_arg "World.read_saved_memory: range outside the image";
-  let* bytes = file_err (File.read_bytes file ~pos:(2 * (memory_offset + pos)) ~len:(2 * len)) in
-  if Bytes.length bytes < 2 * len then Error (Bad_state "image truncated")
-  else Ok (words_of_bytes bytes ~pos:0 ~nwords:len)
+  let* ws = file_err (File.read_words file ~pos:(memory_offset + pos) ~len) in
+  if Array.length ws < len then Error (Bad_state "image truncated") else Ok ws
 
 let write_saved_memory file ~pos ws =
   if pos < 0 || pos + Array.length ws > Memory.size then
     invalid_arg "World.write_saved_memory: range outside the image";
-  file_err (File.write_bytes file ~pos:(2 * (memory_offset + pos)) (string_of_word_array ws))
+  file_err (File.write_words file ~pos:(memory_offset + pos) ws)

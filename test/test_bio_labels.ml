@@ -344,6 +344,35 @@ let test_cached_run_matches_uncached () =
   Alcotest.(check bool) "identical pack images (whole cache)" true
     (uncached_image = cached_image)
 
+(* {2 The table's bound} *)
+
+(* A full table evicts exactly its least recently used entry: a hit and
+   a re-note both count as use, and a forgotten entry frees its place
+   without evicting anyone. *)
+let test_full_table_evicts_lru () =
+  let _drive, bio = raw_bio ~tracks:0 () in
+  let present s = Bio.label bio (addr s) <> None in
+  for s = 0 to 127 do
+    Bio.note_label bio (addr s) (distinct_label s)
+  done;
+  Alcotest.(check int) "full" 128 (Bio.cached_labels bio);
+  Alcotest.(check bool) "hit 0" true (present 0);
+  Bio.note_label bio (addr 1) (distinct_label 1);
+  Bio.note_label bio (addr 200) (distinct_label 200);
+  Alcotest.(check int) "still full" 128 (Bio.cached_labels bio);
+  Alcotest.(check bool) "2 was the oldest" false (present 2);
+  List.iter
+    (fun s -> Alcotest.(check bool) (Printf.sprintf "%d kept" s) true (present s))
+    [ 0; 1; 3; 127; 200 ];
+  (* Every probe above was a hit, so 4 is now the oldest. *)
+  Bio.invalidate bio (addr 5);
+  Bio.note_label bio (addr 201) (distinct_label 201);
+  Alcotest.(check int) "the forgotten place reused" 128 (Bio.cached_labels bio);
+  Alcotest.(check bool) "4 kept" true (present 4);
+  Bio.note_label bio (addr 202) (distinct_label 202);
+  Alcotest.(check bool) "6 evicted" false (present 6);
+  Alcotest.(check bool) "4 still kept" true (present 4)
+
 (* {2 The elevator} *)
 
 (* Outcomes come back in the caller's order however the elevator
@@ -379,6 +408,73 @@ let test_batch_outcome_order () =
         (Word.to_int buffers.(j).(0)))
     outcomes
 
+(* Duplicate addresses are served in the order the elevator's original
+   polymorphic [compare] on key tuples gave: C-SCAN cylinder from the
+   heads, then head, then sector, then submission order; within each
+   cylinder run, head, then the slot relative to the one the heads
+   catch, then submission order. The reference below is that
+   definition, fed the catch slots the drive reported as each run
+   began. *)
+let test_duplicates_keep_tuple_order () =
+  let geometry = { small_geometry with Geometry.cylinders = 5 } in
+  let drive = Drive.create ~pack_id:3 geometry in
+  let n = Drive.sector_count drive in
+  let cylinders = geometry.Geometry.cylinders in
+  let spt = geometry.Geometry.sectors_per_track in
+  (* Park the heads mid-pack so the sweep wraps. *)
+  write_sector drive (addr (n / 2)) ~label:(distinct_label 1) ~value:(zero_value ());
+  (* Every sector of the pack once, and a quarter of them twice more,
+     scattered through the batch: each cylinder run then holds both
+     heads' whole tracks, so the rotation to the catch slot shows. *)
+  let picks = Array.init (n + (n / 2)) (fun j -> (j * 37) mod n) in
+  let requests =
+    Array.map
+      (fun i ->
+        Sched.request
+          ~label:(Array.make Sector.label_words Word.zero)
+          (addr i)
+          { Drive.op_none with label = Some Drive.Read })
+      picks
+  in
+  let catches () = Array.init cylinders (fun c -> Drive.catch_slot drive ~cylinder:c) in
+  let start = Drive.current_cylinder drive in
+  let before = catches () in
+  let served = ref [] and after = ref [] in
+  ignore
+    (Sched.run_batch drive requests ~on_done:(fun j _ ->
+         served := j :: !served;
+         after := catches () :: !after));
+  let served = Array.of_list (List.rev !served) and after = Array.of_list (List.rev !after) in
+  let chs j = Disk_address.chs geometry (addr picks.(j)) in
+  let static =
+    Array.init (Array.length picks) (fun j ->
+        let c, h, s = chs j in
+        ((c - start + cylinders) mod cylinders, h, s, j, j))
+  in
+  Array.sort compare static;
+  let expected = ref [] and pos = ref 0 in
+  while !pos < Array.length static do
+    let run, _, _, _, first = static.(!pos) in
+    let stop = ref !pos in
+    while
+      !stop < Array.length static
+      && (let r, _, _, _, _ = static.(!stop) in
+          r = run)
+    do
+      incr stop
+    done;
+    let cylinder, _, _ = chs first in
+    let catch = (if !pos = 0 then before else after.(!pos - 1)).(cylinder) in
+    let slice = Array.sub static !pos (!stop - !pos) in
+    Array.sort
+      (fun (_, h1, s1, q1, _) (_, h2, s2, q2, _) ->
+        compare (h1, (s1 - catch + spt) mod spt, q1) (h2, (s2 - catch + spt) mod spt, q2))
+      slice;
+    Array.iter (fun (_, _, _, _, j) -> expected := j :: !expected) slice;
+    pos := !stop
+  done;
+  Alcotest.(check (array int)) "serve order" (Array.of_list (List.rev !expected)) served
+
 let () =
   Alcotest.run "alto bio labels"
     [
@@ -394,6 +490,13 @@ let () =
           ("one invalidate drops both", `Quick, test_invalidate_drops_both);
         ] );
       ("overflow", [ ("bad table refuses the 65th", `Quick, test_quarantine_overflow) ]);
+      ( "table",
+        [ ("a full table evicts the least recently used", `Quick, test_full_table_evicts_lru) ]
+      );
       ("determinism", [ ("cached equals uncached", `Quick, test_cached_run_matches_uncached) ]);
-      ("elevator", [ ("outcomes in caller order", `Quick, test_batch_outcome_order) ]);
+      ( "elevator",
+        [
+          ("outcomes in caller order", `Quick, test_batch_outcome_order);
+          ("duplicates keep the tuple order", `Quick, test_duplicates_keep_tuple_order);
+        ] );
     ]

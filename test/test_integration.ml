@@ -157,7 +157,9 @@ let prop_file_matches_model =
             | 0 ->
                 (* write at a valid position *)
                 let pos = if String.length !model = 0 then 0 else pos mod (String.length !model + 1) in
-                let data = String.make (1 + (len mod 600)) (byte_of step) in
+                (* Bytes vary by position, so a swapped high/low half of
+                   any word shows; odd [pos] and lengths come up often. *)
+                let data = String.init (1 + (len mod 600)) (fun i -> byte_of ((step * 7) + i)) in
                 (match File.write_bytes file ~pos data with
                 | Ok () ->
                     let before = String.sub !model 0 pos in

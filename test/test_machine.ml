@@ -51,6 +51,44 @@ let test_bytes_blit () =
   Alcotest.check_raises "past the end" (Invalid_argument "index out of bounds") (fun () ->
       Word.blit_from_bytes b 6 back 0 2)
 
+(* The per-byte definitions the word-at-a-time packers replaced, kept
+   as the reference they must agree with. *)
+let reference_words_of_string s =
+  let n = String.length s in
+  Array.init ((n + 1) / 2) (fun i ->
+      let high = Char.code s.[2 * i] in
+      let low = if (2 * i) + 1 < n then Char.code s.[(2 * i) + 1] else 0 in
+      Word.of_bytes ~high ~low)
+
+let reference_string_of_words ws ~len =
+  String.init len (fun i ->
+      let w = ws.(i / 2) in
+      Char.chr (if i mod 2 = 0 then Word.high_byte w else Word.low_byte w))
+
+let test_packing_matches_reference () =
+  List.iter
+    (fun n ->
+      (* Every byte value shows up, and no two neighbours are equal, so
+         a swapped or dropped half of a word cannot pass. *)
+      let s = String.init n (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+      let ws = Word.words_of_string s in
+      Alcotest.(check (array int))
+        (Printf.sprintf "words_of_string, %d bytes" n)
+        (Array.map Word.to_int (reference_words_of_string s))
+        (Array.map Word.to_int ws);
+      (* Unpack every length the words allow, including an odd one that
+         drops a non-zero low byte. *)
+      let full = Array.map (fun w -> Word.logor w (Word.of_int 0x5a)) ws in
+      for len = 0 to 2 * Array.length full do
+        Alcotest.(check string)
+          (Printf.sprintf "string_of_words, %d of %d words" len (Array.length full))
+          (reference_string_of_words full ~len)
+          (Word.string_of_words full ~len)
+      done)
+    [ 0; 1; 2; 3; 7; 8; 255; 256; 257; 513 ];
+  Alcotest.check_raises "too long" (Invalid_argument "Word.string_of_words: bad length")
+    (fun () -> ignore (Word.string_of_words [| Word.zero |] ~len:3))
+
 let prop_string_roundtrip =
   QCheck.Test.make ~name:"words_of_string roundtrips" ~count:200
     QCheck.(string_of_size Gen.(0 -- 100))
@@ -328,6 +366,7 @@ let () =
           ("byte packing", `Quick, test_word_bytes);
           ("string packing", `Quick, test_string_roundtrip);
           ("bytes blit", `Quick, test_bytes_blit);
+          ("packing matches the per-byte definitions", `Quick, test_packing_matches_reference);
         ]
         @ qcheck [ prop_string_roundtrip; prop_word_add_commutes ] );
       ( "memory",

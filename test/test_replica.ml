@@ -328,6 +328,19 @@ let test_peers_command () =
      audits unopposed, so the executive session advanced its cursor. *)
   Alcotest.(check bool) "audit advanced at idle" true (Replica.slices_audited node > 0)
 
+(* The digest is compared across machines, so its value is part of the
+   wire protocol: pin it for a fixed slice, once with every sector
+   legible and once with one that hard-fails into the sentinel. *)
+let test_digest_value_pinned () =
+  let drive = Drive.create ~pack_id:7 small in
+  let fs = Fs.format drive in
+  let root = check_ok Directory.pp_error "root" (Directory.open_root fs) in
+  make_file fs root "pinned.dat" 3000 5;
+  check_ok Fs.pp_error "flush" (Fs.flush fs);
+  Alcotest.(check int64) "all legible" 0x89ccd49a782e56f2L (Audit.digest fs ~start:0 ~k:24);
+  Drive.set_bad drive (addr 9) true;
+  Alcotest.(check int64) "sector 9 hard-fails" 0xc9c90cf1d573b89dL (Audit.digest fs ~start:0 ~k:24)
+
 let () =
   Alcotest.run "alto_replica"
     [
@@ -339,5 +352,6 @@ let () =
           ("determinism under faults", `Quick, test_determinism_under_faults);
           ("duplicates billed once", `Quick, test_dups_billed_once);
           ("peers command", `Quick, test_peers_command);
+          ("digest value pinned", `Quick, test_digest_value_pinned);
         ] );
     ]
